@@ -59,12 +59,6 @@ pub fn bench_out(default: &str) -> String {
     std::env::var("TYPILUS_BENCH_OUT").unwrap_or_else(|_| default.to_string())
 }
 
-/// Thread count for pool benchmarks: `TYPILUS_BENCH_THREADS`, or
-/// `default` when unset or unparsable.
-pub fn bench_threads(default: usize) -> usize {
-    env_usize("TYPILUS_BENCH_THREADS", default)
-}
-
 /// Marker counts for the TypeSpace index benchmark (`bench_space`):
 /// `TYPILUS_SPACE_SCALES` as a comma-separated list (e.g.
 /// `"10000,100000"`), or `default` when unset. Unparsable entries are

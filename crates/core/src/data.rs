@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use typilus_corpus::{deduplicate, split_with, Corpus, Split, DEFAULT_THRESHOLD};
 use typilus_graph::{build_graph, GraphConfig, ProgramGraph};
+use typilus_nn::{resolve_threads, WorkerPool};
 use typilus_pyast::{parse, Parsed, StmtKind, SymbolTable};
 use typilus_types::TypeHierarchy;
 
@@ -104,8 +105,10 @@ pub struct PreparedCorpus {
 impl PreparedCorpus {
     /// Builds graphs for every parseable, non-duplicate file and splits
     /// 70-10-20 (paper proportions). Extraction is embarrassingly
-    /// parallel and fans out across available cores (the paper extracts
-    /// graphs for 118k files, so this is the pipeline's batch stage).
+    /// parallel and runs on a [`WorkerPool`] sized like every other
+    /// stage (`TYPILUS_THREADS`, else the available cores); the paper
+    /// extracts graphs for 118k files, so this is the pipeline's batch
+    /// stage.
     pub fn from_corpus(corpus: &Corpus, graph_config: &GraphConfig, seed: u64) -> PreparedCorpus {
         let named: Vec<(&str, &str)> = corpus
             .files
@@ -125,60 +128,18 @@ impl PreparedCorpus {
     ) -> PreparedCorpus {
         let sources: Vec<&str> = named_sources.iter().map(|(_, s)| *s).collect();
         let kept = deduplicate(&sources, DEFAULT_THRESHOLD);
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let chunk_size = kept.len().div_ceil(threads).max(1);
-        // Each extraction result is either a usable file or a typed
-        // skip reason: a broken file degrades to a quarantine entry
-        // instead of silently vanishing (or killing the worker).
-        type Extracted = Result<SourceFile, (String, SkipReason)>;
-        let mut per_chunk: Vec<Vec<Extracted>> = Vec::new();
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = kept
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move |_| {
-                        chunk
-                            .iter()
-                            .map(|&idx| {
-                                let (name, source) = named_sources[idx];
-                                let parsed = match parse(source) {
-                                    Ok(parsed) => parsed,
-                                    Err(e) => {
-                                        return Err((
-                                            name.to_string(),
-                                            SkipReason::ParseError(e.to_string()),
-                                        ))
-                                    }
-                                };
-                                let table = SymbolTable::build(&parsed.module);
-                                let graph = build_graph(&parsed, &table, graph_config, name);
-                                // An empty or comment-only file builds just the
-                                // module-root node: nothing to train on.
-                                if graph.node_count() <= 1 {
-                                    return Err((name.to_string(), SkipReason::EmptyGraph));
-                                }
-                                Ok(SourceFile {
-                                    name: name.to_string(),
-                                    source: source.to_string(),
-                                    parsed,
-                                    table,
-                                    graph,
-                                })
-                            })
-                            .collect::<Vec<Extracted>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                per_chunk.push(h.join().expect("extraction worker panicked"));
-            }
-        })
-        .expect("extraction scope panicked");
+        // Results come back in `kept` order at any pool size, so the
+        // file list — and therefore the split — never depends on the
+        // thread count. No more workers than files: idle ones would
+        // only cost a thread spawn each.
+        let pool = WorkerPool::new(resolve_threads(None).min(kept.len()));
+        let extracted = pool.map_ordered(&kept, |_, &idx| {
+            let (name, source) = named_sources[idx];
+            extract(name, source, graph_config)
+        });
         let mut files = Vec::new();
         let mut quarantine = Quarantine::default();
-        for extracted in per_chunk.into_iter().flatten() {
+        for extracted in extracted {
             match extracted {
                 Ok(file) => files.push(file),
                 Err((name, reason)) => {
@@ -229,6 +190,32 @@ impl PreparedCorpus {
     }
 }
 
+/// Parses one source file and builds its graph. A broken file
+/// degrades to a typed skip reason instead of silently vanishing (or
+/// killing the worker).
+fn extract(
+    name: &str,
+    source: &str,
+    graph_config: &GraphConfig,
+) -> Result<SourceFile, (String, SkipReason)> {
+    let parsed =
+        parse(source).map_err(|e| (name.to_string(), SkipReason::ParseError(e.to_string())))?;
+    let table = SymbolTable::build(&parsed.module);
+    let graph = build_graph(&parsed, &table, graph_config, name);
+    // An empty or comment-only file builds just the module-root node:
+    // nothing to train on.
+    if graph.node_count() <= 1 {
+        return Err((name.to_string(), SkipReason::EmptyGraph));
+    }
+    Ok(SourceFile {
+        name: name.to_string(),
+        source: source.to_string(),
+        parsed,
+        table,
+        graph,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,14 +244,30 @@ mod tests {
 
     #[test]
     fn broken_files_are_quarantined_with_typed_reasons() {
+        // Good files interleaved with the broken and empty ones, so
+        // several pool stripes get work and order has to be restored.
         let named = [
-            ("good.py", "def f(x: int) -> int:\n    return x\n"),
+            ("good_a.py", "def a(x: int) -> int:\n    return x\n"),
             ("broken.py", "def f(:\n"),
+            ("good_b.py", "def b(s: str) -> str:\n    return s.upper()\n"),
+            ("good_c.py", "class C:\n    n: float = 1.5\n"),
             ("empty.py", ""),
+            ("good_d.py", "def d(xs: list) -> int:\n    return len(xs)\n"),
+            ("good_e.py", "flag: bool = True\nlimit: int = 10\n"),
         ];
         let prepared = PreparedCorpus::from_sources(&named, &GraphConfig::default(), 0);
-        assert_eq!(prepared.files.len(), 1);
-        assert_eq!(prepared.files[0].name, "good.py");
+        let names: Vec<&str> = prepared.files.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "good_a.py",
+                "good_b.py",
+                "good_c.py",
+                "good_d.py",
+                "good_e.py"
+            ],
+            "files must come back in input order"
+        );
         assert_eq!(prepared.quarantine.len(), 2);
         assert!(matches!(
             prepared.quarantine.skipped.get("broken.py"),

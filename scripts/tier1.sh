@@ -8,14 +8,19 @@
 # suppressions denied), the dynamic determinism and kill-and-resume
 # check (threads x SIMD width x kernel mode), the benchmark-regression
 # smoke, the serve round-trip gate (byte-identical served replies,
-# untouched artifacts), clippy with warnings denied. Run from
-# anywhere; operates on the repo root.
+# untouched artifacts), clippy with warnings denied. It also fails if
+# crossbeam re-enters the dependency graph: `typilus_nn::WorkerPool` is
+# the one parallel engine. Run from anywhere; operates on the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
 cargo fmt --check
+if cargo tree --offline -q -i crossbeam >/dev/null 2>&1; then
+    echo "tier1: crossbeam is in the dependency graph; run parallel work on typilus_nn::WorkerPool" >&2
+    exit 1
+fi
 cargo build --release
 cargo test -q
 TYPILUS_THREADS=2 cargo test -q

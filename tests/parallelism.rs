@@ -117,24 +117,6 @@ fn arena_tape_preserves_parallel_bit_identity() {
 }
 
 #[test]
-fn pooled_engine_matches_spawn_per_call_primitive() {
-    // The persistent pool replaced the spawn-per-call crossbeam engine;
-    // both primitives must still agree bit-for-bit on the same jobs, so
-    // the pipeline's guarantees carry over unchanged.
-    let items: Vec<f32> = (0..173).map(|i| (i as f32).sin() * 0.01).collect();
-    for threads in [2, 4, 7] {
-        let pool = typilus_nn::WorkerPool::new(threads);
-        let pooled: Vec<u32> = pool.map_ordered(&items, |i, &x| (x * x + i as f32).to_bits());
-        let spawned: Vec<u32> =
-            typilus_nn::par_map_ordered(&items, threads, |i, &x| (x * x + i as f32).to_bits());
-        assert_eq!(
-            pooled, spawned,
-            "pool and spawn-per-call disagree at {threads} threads"
-        );
-    }
-}
-
-#[test]
 fn batched_prediction_matches_per_file() {
     let (system, data) = run(7, 3, LossKind::Typilus);
     let batched = system.predict_files(&data, &data.split.test);
