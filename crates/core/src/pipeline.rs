@@ -596,7 +596,13 @@ impl TrainedSystem {
         } else {
             None
         };
-        let embeddings = self.model.embed_inference(prepared);
+        // Class models answer from the head; only the kNN path reads
+        // embeddings.
+        let embeddings = if class_predictions.is_none() {
+            self.model.embed_inference(prepared)
+        } else {
+            None
+        };
         let mut out = Vec::with_capacity(prepared.targets.len());
         for (t, target) in prepared.targets.iter().enumerate() {
             let candidates = match (&class_predictions, &embeddings) {

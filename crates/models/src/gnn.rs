@@ -106,6 +106,7 @@ impl GnnEncoder {
     /// Runs `T` steps of message passing and returns the final states of
     /// all nodes, `[num_nodes, D]`.
     pub fn node_states(&self, tape: &mut Tape<'_>, file: &PreparedFile) -> Var {
+        let mark = tape.len();
         let mut h = self.initial_states(tape, file);
         // Precompute flattened edge endpoints per relation.
         let rels: Vec<(usize, Vec<usize>, Vec<usize>)> = file
@@ -142,6 +143,10 @@ impl GnnEncoder {
                 }
             };
             h = self.gru.step(tape, agg, h);
+            // Step boundary: a forward-only tape frees this step's
+            // intermediates and the previous state; a recording tape
+            // keeps them for backward.
+            h = tape.retain(mark, h);
         }
         h
     }

@@ -10,6 +10,10 @@
 //! graphs (vocabularies are derived automatically), call
 //! [`TypeModel::train_step`] in a loop, then [`TypeModel::embed_inference`]
 //! to obtain type embeddings for the TypeSpace (`typilus-space`).
+//! Training records each forward pass on a gradient tape
+//! (`typilus_nn::Tape::new`); inference runs the same encoder code on a
+//! forward-only tape (`typilus_nn::Tape::forward_only`), which records
+//! nothing for backward and gives bit-identical embeddings.
 
 #![warn(missing_docs)]
 

@@ -458,8 +458,10 @@ impl TypeModel {
 
     /// Inference: embeds every target of a file (annotated or not) and
     /// returns the raw embedding matrix, or `None` without targets.
+    /// Runs on a forward-only tape: same values as a training forward
+    /// pass, bit for bit, with nothing recorded for backward.
     pub fn embed_inference(&self, file: &PreparedFile) -> Option<Tensor> {
-        let mut tape = Tape::new(&self.params);
+        let mut tape = Tape::forward_only(&self.params);
         let emb = self.embed(&mut tape, file)?;
         Some(tape.value(emb).clone())
     }
@@ -477,12 +479,21 @@ impl TypeModel {
     /// Classification-head prediction for a file: per target, the best
     /// non-UNK class and its probability. Returns `None` when the
     /// model has no classification head (non-[`LossKind::Class`]
-    /// models) or when the file embeds to nothing.
+    /// models) or when the file embeds to nothing. Runs
+    /// [`TypeModel::predict_class_on`] on a forward-only tape.
     pub fn predict_class(&self, file: &PreparedFile) -> Option<Vec<(PyType, f32)>> {
+        self.predict_class_on(&mut Tape::forward_only(&self.params), file)
+    }
+
+    /// [`TypeModel::predict_class`] on a caller-supplied tape.
+    pub fn predict_class_on(
+        &self,
+        tape: &mut Tape<'_>,
+        file: &PreparedFile,
+    ) -> Option<Vec<(PyType, f32)>> {
         let head = self.class_head.as_ref()?;
-        let mut tape = Tape::new(&self.params);
-        let emb = self.embed(&mut tape, file)?;
-        let logits = head.apply(&mut tape, emb);
+        let emb = self.embed(tape, file)?;
+        let logits = head.apply(tape, emb);
         let logp = tape.log_softmax(logits);
         let v = tape.value(logp);
         let mut out = Vec::with_capacity(v.rows());

@@ -1,7 +1,7 @@
 //! A thread-local buffer arena for tape tensors.
 //!
 //! Every tensor a [`crate::Tape`](crate::tape::Tape) materialises — op
-//! outputs, parameter snapshots, gradient temporaries — is backed by a
+//! outputs and gradient temporaries — is backed by a
 //! `Vec<f32>` drawn from a per-thread pool of retired buffers. When a
 //! tape is dropped or [`reset`](crate::tape::Tape::reset), its buffers
 //! return to the pool, so a steady-state training loop (same model, same

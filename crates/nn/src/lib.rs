@@ -34,6 +34,7 @@ pub mod pool;
 pub mod profile;
 pub mod segment;
 pub mod simd;
+pub mod tanh;
 pub mod tape;
 pub mod tensor;
 

@@ -23,8 +23,8 @@ use crate::tensor::Tensor;
 
 /// Rows grouped by segment id: a stable counting sort of `0..rows`
 /// keyed by segment, in CSR-like `order`/`offsets` form. Built once per
-/// op in fast kernel mode and stored on the tape node so the backward
-/// pass reuses it.
+/// op in fast kernel mode and, on a recording tape, stored on the node
+/// so the backward pass reuses it.
 #[derive(Debug, Clone)]
 pub struct SegmentPlan {
     /// Row indices sorted by segment id, ascending within each segment.
@@ -105,6 +105,9 @@ pub fn mean_blocked(a: &Tensor, plan: &SegmentPlan) -> Tensor {
 /// ties keep the earliest row and NaN never wins; columns with no
 /// winner (empty segment or all-NaN) produce `0.0` and
 /// `argmax = usize::MAX`.
+///
+/// The update is a branch-free select (`o = if x > o { x } else { o }`,
+/// the same for the argmax), so each row's column loop vectorises.
 pub fn max_blocked(a: &Tensor, plan: &SegmentPlan) -> (Tensor, Vec<usize>) {
     let cols = a.cols();
     let num = plan.num_segments();
@@ -115,19 +118,37 @@ pub fn max_blocked(a: &Tensor, plan: &SegmentPlan) -> (Tensor, Vec<usize>) {
         let arow_max = &mut argmax[s * cols..(s + 1) * cols];
         for &i in plan.rows(s) {
             for ((o, am), &x) in orow.iter_mut().zip(arow_max.iter_mut()).zip(a.row(i)) {
-                if x > *o {
-                    *o = x;
-                    *am = i;
-                }
+                let wins = x > *o;
+                *o = if wins { x } else { *o };
+                *am = if wins { i } else { *am };
             }
         }
         for (o, &am) in orow.iter_mut().zip(arow_max.iter()) {
-            if am == usize::MAX {
-                *o = 0.0;
-            }
+            *o = if am == usize::MAX { 0.0 } else { *o };
         }
     }
     (out, argmax)
+}
+
+/// [`max_blocked`] without the argmax, for forward-only tapes. A column
+/// has a winner exactly when its running max left `-inf` (a winner
+/// beats `-inf` strictly, so it is neither `-inf` nor NaN), so the
+/// no-winner rule needs no argmax.
+pub fn max_values_blocked(a: &Tensor, plan: &SegmentPlan) -> Tensor {
+    let num = plan.num_segments();
+    let mut out = arena::full(num, a.cols(), f32::NEG_INFINITY);
+    for s in 0..num {
+        let orow = out.row_mut(s);
+        for &i in plan.rows(s) {
+            for (o, &x) in orow.iter_mut().zip(a.row(i)) {
+                *o = if x > *o { x } else { *o };
+            }
+        }
+        for o in orow.iter_mut() {
+            *o = if *o == f32::NEG_INFINITY { 0.0 } else { *o };
+        }
+    }
+    out
 }
 
 /// Blocked backward of [`sum_blocked`]: each segment's gradient row is
@@ -317,6 +338,7 @@ mod tests {
         let (max_ref, argmax_ref) = reference::max(&a, &segments, 4);
         assert_eq!(max.as_slice(), max_ref.as_slice());
         assert_eq!(argmax, argmax_ref);
+        assert_eq!(max_values_blocked(&a, &plan).as_slice(), max_ref.as_slice());
 
         let g = Tensor::from_vec(4, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         let gs = sum_backward_blocked(&g, &plan, 5);

@@ -6,11 +6,12 @@
 //! cheap and rebuilt per training step, which is what lets the GNN unroll
 //! a different message-passing structure for every input graph.
 //!
-//! Every tensor the tape materialises — op outputs, parameter
-//! snapshots, gradient temporaries — is drawn from the thread-local
-//! [`crate::arena`], and [`Tape::reset`] (or dropping the tape) returns
-//! the storage for the next step, so a steady-state training loop stops
-//! allocating after the first iteration. The fused ops
+//! Every tensor the tape materialises — op outputs and gradient
+//! temporaries — is drawn from the thread-local [`crate::arena`]
+//! (parameter reads borrow the [`ParamSet`] instead of copying), and
+//! [`Tape::reset`] (or dropping the tape) returns the storage for the
+//! next step, so a steady-state training loop stops allocating after
+//! the first iteration. The fused ops
 //! ([`Tape::matmul_bias`], [`Tape::add2_row_sigmoid`],
 //! [`Tape::add2_row_tanh`], [`Tape::gru_combine`]) record one node where
 //! the naive composition records three to four, skipping the
@@ -20,13 +21,22 @@
 //! [`KernelMode::Naive`](crate::mode::KernelMode) the fused entry points
 //! record the unfused composition instead, which is what `bench_nn`
 //! compares against.
+//!
+//! [`Tape::forward_only`] builds the same tape for inference: the ops
+//! and their kernels are unchanged, but nothing is recorded for
+//! backward (no index copies, segment plans, masks or argmaxes), and
+//! [`Tape::retain`] hands a finished step's intermediates back to the
+//! arena so the next step reuses warm buffers. Values are bit-identical
+//! to a recording tape's.
 
 use crate::arena;
 use crate::mode::{kernel_mode, KernelMode};
 use crate::params::{Gradients, ParamId, ParamSet};
 use crate::profile::{prof, run_op, OpKind};
 use crate::segment::{self, SegmentPlan};
+use crate::tanh::tanh_in_place;
 use crate::tensor::Tensor;
+use std::borrow::Cow;
 
 /// Handle to a node on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +45,8 @@ pub struct Var(usize);
 #[derive(Debug, Clone)]
 #[allow(dead_code)] // some payloads are forward-only (kept for Debug clarity)
 enum Op {
-    /// Constant input; no gradient.
+    /// Constant input; no gradient. Every node of a forward-only tape
+    /// is recorded as one.
     Input,
     /// Read of a trainable parameter.
     Param(ParamId),
@@ -90,9 +101,21 @@ enum Op {
     ConcatCols(Vec<Var>),
 }
 
-struct Node {
-    value: Tensor,
+struct Node<'p> {
+    /// Op outputs are owned (arena-backed); parameter reads borrow the
+    /// [`ParamSet`]'s tensor, which outlives the tape.
+    value: Cow<'p, Tensor>,
     op: Op,
+}
+
+/// Returns a node's owned storage (and a mask's) to the arena.
+fn recycle_node(node: Node<'_>) {
+    if let Op::MulConst(_, mask) = node.op {
+        arena::recycle(mask);
+    }
+    if let Cow::Owned(value) = node.value {
+        arena::recycle(value);
+    }
 }
 
 /// Elementwise map into an arena-backed tensor.
@@ -118,7 +141,10 @@ fn pooled_zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
 /// A gradient tape over a [`ParamSet`].
 pub struct Tape<'p> {
     params: &'p ParamSet,
-    nodes: Vec<Node>,
+    nodes: Vec<Node<'p>>,
+    /// Whether ops keep what backward needs ([`Tape::new`]) or nothing
+    /// ([`Tape::forward_only`]).
+    recording: bool,
 }
 
 impl<'p> Tape<'p> {
@@ -127,17 +153,63 @@ impl<'p> Tape<'p> {
         Tape {
             params,
             nodes: Vec::new(),
+            recording: true,
         }
     }
 
-    fn push(&mut self, value: Tensor, op: Op) -> Var {
+    /// Creates an inference tape: the same ops and values as
+    /// [`Tape::new`], but no op keeps a backward payload, and
+    /// [`Tape::retain`] recycles dead intermediates. Calling any
+    /// `backward*` method on it panics.
+    pub fn forward_only(params: &'p ParamSet) -> Tape<'p> {
+        Tape {
+            params,
+            nodes: Vec::new(),
+            recording: false,
+        }
+    }
+
+    /// Records a node. `op` builds the backward payload and runs only
+    /// on a recording tape.
+    fn push_node(&mut self, value: Cow<'p, Tensor>, op: impl FnOnce() -> Op) -> Var {
+        let op = if self.recording { op() } else { Op::Input };
         self.nodes.push(Node { value, op });
         Var(self.nodes.len() - 1)
+    }
+
+    /// Records an op output (see [`Tape::push_node`]).
+    fn push(&mut self, value: Tensor, op: impl FnOnce() -> Op) -> Var {
+        self.push_node(Cow::Owned(value), op)
     }
 
     /// The current value of a variable.
     pub fn value(&self, v: Var) -> &Tensor {
         &self.nodes[v.0].value
+    }
+
+    /// Step boundary for inference loops: on a forward-only tape, every
+    /// node recorded since `mark` (a [`Tape::len`] taken earlier) except
+    /// `keep` is dropped and its storage returned to the arena, and
+    /// `keep` moves to position `mark`; the returned [`Var`] replaces
+    /// it, and every other `Var` from at or after `mark` is invalidated.
+    /// A recording tape needs every node for backward, so there this
+    /// returns `keep` unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep` was recorded before `mark`.
+    pub fn retain(&mut self, mark: usize, keep: Var) -> Var {
+        if self.recording {
+            return keep;
+        }
+        assert!(keep.0 >= mark, "retain: kept var predates the mark");
+        // The last node takes `keep`'s slot, which the drain then frees.
+        let kept = self.nodes.swap_remove(keep.0);
+        for node in self.nodes.drain(mark..) {
+            recycle_node(node);
+        }
+        self.nodes.push(kept);
+        Var(mark)
     }
 
     /// Number of recorded nodes.
@@ -156,11 +228,7 @@ impl<'p> Tape<'p> {
     /// same; `reset` just makes the reuse explicit inside a loop.
     pub fn reset(&mut self) {
         for node in self.nodes.drain(..) {
-            let Node { value, op } = node;
-            if let Op::MulConst(_, mask) = op {
-                arena::recycle(mask);
-            }
-            arena::recycle(value);
+            recycle_node(node);
         }
     }
 
@@ -168,17 +236,19 @@ impl<'p> Tape<'p> {
 
     /// Records a constant input (no gradient flows into it).
     pub fn input(&mut self, t: Tensor) -> Var {
-        self.push(t, Op::Input)
+        self.push(t, || Op::Input)
     }
 
-    /// Records a read of parameter `id`.
+    /// Records a read of parameter `id`. The node borrows the
+    /// parameter tensor (the tape's borrow of the [`ParamSet`] keeps it
+    /// unchanged), so no read copies it.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not in the tape's parameter set.
     pub fn param(&mut self, id: ParamId) -> Var {
-        let value = arena::copy_of(self.params.get(id));
-        self.push(value, Op::Param(id))
+        let value = self.params.get(id);
+        self.push_node(Cow::Borrowed(value), || Op::Param(id))
     }
 
     // ---- arithmetic -------------------------------------------------------
@@ -187,14 +257,14 @@ impl<'p> Tape<'p> {
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let (va, vb) = (self.value(a), self.value(b));
         let v = run_op(OpKind::Matmul, || va.matmul(vb));
-        self.push(v, Op::Matmul(a, b))
+        self.push(v, || Op::Matmul(a, b))
     }
 
     /// `a · bᵀ`.
     pub fn matmul_t(&mut self, a: Var, b: Var) -> Var {
         let (va, vb) = (self.value(a), self.value(b));
         let v = run_op(OpKind::MatmulT, || va.matmul_t(vb));
-        self.push(v, Op::MatmulT(a, b))
+        self.push(v, || Op::MatmulT(a, b))
     }
 
     /// Fused `x·W + b` — one node for a whole [`crate::Linear`] apply;
@@ -222,14 +292,14 @@ impl<'p> Tape<'p> {
             }
             out
         });
-        self.push(v, Op::MatmulBias(x, w, b))
+        self.push(v, || Op::MatmulBias(x, w, b))
     }
 
     /// `aᵀ`.
     pub fn transpose(&mut self, a: Var) -> Var {
         let va = self.value(a);
         let v = run_op(OpKind::Transpose, || va.transposed());
-        self.push(v, Op::Transpose(a))
+        self.push(v, || Op::Transpose(a))
     }
 
     /// Elementwise `a + b` (same shape).
@@ -241,7 +311,7 @@ impl<'p> Tape<'p> {
         let (va, vb) = (self.value(a), self.value(b));
         assert_eq!(va.shape(), vb.shape(), "add shape mismatch");
         let v = run_op(OpKind::Elementwise, || pooled_zip(va, vb, |x, y| x + y));
-        self.push(v, Op::Add(a, b))
+        self.push(v, || Op::Add(a, b))
     }
 
     /// `a + row` where `row` is `1×m`, broadcast over the rows of `a`.
@@ -261,7 +331,7 @@ impl<'p> Tape<'p> {
             }
             Tensor::from_vec(va.rows(), va.cols(), buf)
         });
-        self.push(v, Op::AddRow(a, row))
+        self.push(v, || Op::AddRow(a, row))
     }
 
     /// Elementwise `a - b`.
@@ -273,7 +343,7 @@ impl<'p> Tape<'p> {
         let (va, vb) = (self.value(a), self.value(b));
         assert_eq!(va.shape(), vb.shape(), "sub shape mismatch");
         let v = run_op(OpKind::Elementwise, || pooled_zip(va, vb, |x, y| x - y));
-        self.push(v, Op::Sub(a, b))
+        self.push(v, || Op::Sub(a, b))
     }
 
     /// Elementwise `a * b`.
@@ -285,21 +355,21 @@ impl<'p> Tape<'p> {
         let (va, vb) = (self.value(a), self.value(b));
         assert_eq!(va.shape(), vb.shape(), "mul shape mismatch");
         let v = run_op(OpKind::Elementwise, || pooled_zip(va, vb, |x, y| x * y));
-        self.push(v, Op::Mul(a, b))
+        self.push(v, || Op::Mul(a, b))
     }
 
     /// `a * c` for a scalar constant `c`.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
         let va = self.value(a);
         let v = run_op(OpKind::Elementwise, || pooled_map(va, |x| x * c));
-        self.push(v, Op::Scale(a, c))
+        self.push(v, || Op::Scale(a, c))
     }
 
     /// `a + c` elementwise for a scalar constant `c`.
     pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
         let va = self.value(a);
         let v = run_op(OpKind::Elementwise, || pooled_map(va, |x| x + c));
-        self.push(v, Op::AddScalar(a, c))
+        self.push(v, || Op::AddScalar(a, c))
     }
 
     // ---- nonlinearities ----------------------------------------------------
@@ -310,28 +380,32 @@ impl<'p> Tape<'p> {
         let v = run_op(OpKind::Elementwise, || {
             pooled_map(va, |x| 1.0 / (1.0 + (-x).exp()))
         });
-        self.push(v, Op::Sigmoid(a))
+        self.push(v, || Op::Sigmoid(a))
     }
 
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent ([`crate::tanh`]).
     pub fn tanh(&mut self, a: Var) -> Var {
         let va = self.value(a);
-        let v = run_op(OpKind::Elementwise, || pooled_map(va, f32::tanh));
-        self.push(v, Op::Tanh(a))
+        let v = run_op(OpKind::Elementwise, || {
+            let mut out = arena::copy_of(va);
+            tanh_in_place(out.as_mut_slice());
+            out
+        });
+        self.push(v, || Op::Tanh(a))
     }
 
     /// Elementwise exponential.
     pub fn exp(&mut self, a: Var) -> Var {
         let va = self.value(a);
         let v = run_op(OpKind::Elementwise, || pooled_map(va, f32::exp));
-        self.push(v, Op::Exp(a))
+        self.push(v, || Op::Exp(a))
     }
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
         let va = self.value(a);
         let v = run_op(OpKind::Elementwise, || pooled_map(va, |x| x.max(0.0)));
-        self.push(v, Op::Relu(a))
+        self.push(v, || Op::Relu(a))
     }
 
     /// Fused `σ(a + b + row)` — one node for a whole GRU gate
@@ -348,8 +422,12 @@ impl<'p> Tape<'p> {
             let s = self.add_row(s, row);
             return self.sigmoid(s);
         }
-        let v = self.fused_gate(a, b, row, |x| 1.0 / (1.0 + (-x).exp()));
-        self.push(v, Op::AddRowSigmoid(a, b, row))
+        let v = self.fused_gate(a, b, row, |out| {
+            for x in out {
+                *x = 1.0 / (1.0 + (-*x).exp());
+            }
+        });
+        self.push(v, || Op::AddRowSigmoid(a, b, row))
     }
 
     /// Fused `tanh(a + b + row)` — the GRU candidate state in one node.
@@ -364,13 +442,13 @@ impl<'p> Tape<'p> {
             let s = self.add_row(s, row);
             return self.tanh(s);
         }
-        let v = self.fused_gate(a, b, row, f32::tanh);
-        self.push(v, Op::AddRowTanh(a, b, row))
+        let v = self.fused_gate(a, b, row, tanh_in_place);
+        self.push(v, || Op::AddRowTanh(a, b, row))
     }
 
-    /// Shared forward for the fused gates: `f((a + b) + row)`, with the
-    /// additions associated exactly as in the unfused composition.
-    fn fused_gate(&self, a: Var, b: Var, row: Var, f: impl Fn(f32) -> f32) -> Tensor {
+    /// Shared forward for the fused gates: `(a + b) + row`, associated
+    /// exactly as in the unfused composition, then `f` applied in place.
+    fn fused_gate(&self, a: Var, b: Var, row: Var, f: impl Fn(&mut [f32])) -> Tensor {
         let (va, vb, vr) = (self.value(a), self.value(b), self.value(row));
         assert_eq!(va.shape(), vb.shape(), "add shape mismatch");
         assert_eq!(vr.rows(), 1, "add_row needs a 1×m row");
@@ -384,9 +462,10 @@ impl<'p> Tape<'p> {
                         .iter()
                         .zip(vb.row(r))
                         .zip(rrow)
-                        .map(|((&x, &y), &z)| f((x + y) + z)),
+                        .map(|((&x, &y), &z)| (x + y) + z),
                 );
             }
+            f(&mut buf);
             Tensor::from_vec(va.rows(), va.cols(), buf)
         })
     }
@@ -419,7 +498,7 @@ impl<'p> Tape<'p> {
             );
             Tensor::from_vec(vz.rows(), vz.cols(), buf)
         });
-        self.push(v, Op::GruCombine(z, h, cand))
+        self.push(v, || Op::GruCombine(z, h, cand))
     }
 
     // ---- structure ops -----------------------------------------------------
@@ -439,7 +518,7 @@ impl<'p> Tape<'p> {
             }
             Tensor::from_vec(indices.len(), va.cols(), buf)
         });
-        self.push(v, Op::Gather(a, indices.to_vec()))
+        self.push(v, || Op::Gather(a, indices.to_vec()))
     }
 
     /// Segment sum: rows of `a` grouped by `segments`, summed per segment.
@@ -463,7 +542,9 @@ impl<'p> Tape<'p> {
                 (v, None)
             }
         };
-        self.push(v, Op::SegmentSum(a, segments.to_vec(), num_segments, plan))
+        self.push(v, || {
+            Op::SegmentSum(a, segments.to_vec(), num_segments, plan)
+        })
     }
 
     /// Segment mean; empty segments produce zero rows.
@@ -487,7 +568,9 @@ impl<'p> Tape<'p> {
                 (v, None)
             }
         };
-        self.push(v, Op::SegmentMean(a, segments.to_vec(), num_segments, plan))
+        self.push(v, || {
+            Op::SegmentMean(a, segments.to_vec(), num_segments, plan)
+        })
     }
 
     /// Segment elementwise max; empty segments produce zero rows. This is
@@ -507,11 +590,15 @@ impl<'p> Tape<'p> {
         let v = match kernel_mode() {
             KernelMode::Fast => {
                 let plan = SegmentPlan::build(segments, num_segments);
-                run_op(OpKind::Segment, || {
-                    let (out, am) = segment::max_blocked(va, &plan);
-                    argmax = am;
-                    out
-                })
+                if self.recording {
+                    run_op(OpKind::Segment, || {
+                        let (out, am) = segment::max_blocked(va, &plan);
+                        argmax = am;
+                        out
+                    })
+                } else {
+                    run_op(OpKind::Segment, || segment::max_values_blocked(va, &plan))
+                }
             }
             KernelMode::Naive => run_op(OpKind::Segment, || {
                 let (out, am) = segment::reference::max(va, segments, num_segments);
@@ -519,10 +606,9 @@ impl<'p> Tape<'p> {
                 out
             }),
         };
-        self.push(
-            v,
-            Op::SegmentMax(a, segments.to_vec(), num_segments, argmax),
-        )
+        self.push(v, || {
+            Op::SegmentMax(a, segments.to_vec(), num_segments, argmax)
+        })
     }
 
     /// Pairwise L1 distance matrix between the rows of `a`.
@@ -540,7 +626,7 @@ impl<'p> Tape<'p> {
             }
             out
         });
-        self.push(v, Op::PairwiseL1(a))
+        self.push(v, || Op::PairwiseL1(a))
     }
 
     /// Row-wise log-softmax.
@@ -558,7 +644,7 @@ impl<'p> Tape<'p> {
             }
             out
         });
-        self.push(v, Op::LogSoftmax(a))
+        self.push(v, || Op::LogSoftmax(a))
     }
 
     /// Row-wise standardisation: each row is shifted to zero mean and
@@ -580,7 +666,7 @@ impl<'p> Tape<'p> {
             }
             out
         });
-        self.push(v, Op::RowNorm(a))
+        self.push(v, || Op::RowNorm(a))
     }
 
     /// Mean negative log-likelihood of `labels` under row-wise
@@ -598,7 +684,7 @@ impl<'p> Tape<'p> {
             total -= v.get(r, l);
         }
         let out = arena::full(1, 1, total / labels.len().max(1) as f32);
-        self.push(out, Op::NllLoss(logp, labels.to_vec()))
+        self.push(out, || Op::NllLoss(logp, labels.to_vec()))
     }
 
     /// Elementwise product with a constant mask (no gradient through the
@@ -611,13 +697,13 @@ impl<'p> Tape<'p> {
         let va = self.value(a);
         assert_eq!(va.shape(), mask.shape(), "mask shape mismatch");
         let v = run_op(OpKind::Elementwise, || pooled_zip(va, mask, |x, m| x * m));
-        self.push(v, Op::MulConst(a, arena::copy_of(mask)))
+        self.push(v, || Op::MulConst(a, arena::copy_of(mask)))
     }
 
     /// Sum of all elements, as a `1×1` scalar.
     pub fn sum_all(&mut self, a: Var) -> Var {
         let out = arena::full(1, 1, self.value(a).sum());
-        self.push(out, Op::SumAll(a))
+        self.push(out, || Op::SumAll(a))
     }
 
     /// Mean of all elements, as a `1×1` scalar.
@@ -645,7 +731,7 @@ impl<'p> Tape<'p> {
             }
             Tensor::from_vec(total, cols, buf)
         });
-        self.push(v, Op::ConcatRows(parts.to_vec()))
+        self.push(v, || Op::ConcatRows(parts.to_vec()))
     }
 
     /// Horizontally concatenates columns of several variables (same
@@ -669,7 +755,7 @@ impl<'p> Tape<'p> {
             }
             Tensor::from_vec(rows, total, buf)
         });
-        self.push(v, Op::ConcatCols(parts.to_vec()))
+        self.push(v, || Op::ConcatCols(parts.to_vec()))
     }
 
     // ---- backward ----------------------------------------------------------
@@ -719,6 +805,10 @@ impl<'p> Tape<'p> {
     }
 
     fn backward_impl(&self, root: Var, seed: Tensor, inputs: &[Var]) -> (Gradients, Vec<Tensor>) {
+        assert!(
+            self.recording,
+            "backward on a forward-only Tape: build it with Tape::new to record gradients"
+        );
         prof!(OpKind::Backward, 0u64, {
             let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
             grads[root.0] = Some(seed);
@@ -1549,6 +1639,46 @@ mod tests {
                 "split-tape gradient mismatch: {a} vs {b}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "backward on a forward-only Tape")]
+    fn backward_on_forward_only_tape_panics() {
+        let mut params = ParamSet::new();
+        let id = params.add("w", Tensor::scalar(3.0));
+        let mut tape = Tape::forward_only(&params);
+        let w = tape.param(id);
+        let loss = tape.sum_all(w);
+        tape.backward(loss);
+    }
+
+    #[test]
+    fn retain_frees_a_step_and_keeps_its_result() {
+        let mut params = ParamSet::new();
+        let id = params.add("w", Tensor::from_vec(1, 3, vec![0.5, -1.0, 2.0]));
+        let step = |tape: &mut Tape<'_>, h: Var| {
+            let w = tape.param(id);
+            let s = tape.mul(h, w);
+            tape.tanh(s)
+        };
+        let run = |mut tape: Tape<'_>| {
+            let mut h = tape.input(Tensor::from_vec(1, 3, vec![1.0, 2.0, 3.0]));
+            let mark = tape.len();
+            let mut lens = Vec::new();
+            for _ in 0..3 {
+                h = step(&mut tape, h);
+                h = tape.retain(mark, h);
+                lens.push(tape.len());
+            }
+            (tape.value(h).clone(), lens)
+        };
+        let (recorded, rec_lens) = run(Tape::new(&params));
+        let (forward, fwd_lens) = run(Tape::forward_only(&params));
+        assert_eq!(recorded, forward);
+        // A recording tape keeps every node; a forward-only tape keeps
+        // the input plus the current state.
+        assert_eq!(rec_lens, vec![4, 7, 10]);
+        assert_eq!(fwd_lens, vec![2, 2, 2]);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 # Tier-1 gate: formatting, release build, full test suite (once
 # normally, once with TYPILUS_THREADS=2 to exercise the worker pool's
 # env-driven thread resolution), the kernel bit-equivalence properties
-# under each forced SIMD width, the fault-injection suites (core
+# under each forced SIMD width, the exhaustive sweep of the vectorised
+# tanh against its scalar reference over all 2^32 inputs (release build,
+# every width), the fault-injection suites (core
 # atomic-I/O faults and serve chaos: engine panics, disk faults, torn
 # reply writes), the determinism/panic-freedom lint (stale
 # suppressions denied), the dynamic determinism and kill-and-resume
@@ -26,6 +28,7 @@ cargo test -q
 TYPILUS_THREADS=2 cargo test -q
 TYPILUS_SIMD=sse2 cargo test -q -p typilus-nn --test kernel_bitident
 TYPILUS_SIMD=avx2 cargo test -q -p typilus-nn --test kernel_bitident
+cargo test --release -q -p typilus-nn --test kernel_bitident -- --ignored
 cargo test -q -p typilus --features faults --test fault_injection
 cargo test -q -p typilus-serve --features faults --test serve_faults
 cargo run -p typilus-lint --release -- --deny-stale
