@@ -129,6 +129,35 @@ fn full_cli_pipeline() {
         String::from_utf8_lossy(&out.stderr)
     );
 
+    // --index takes exact|sharded: the retired in-memory forest is an
+    // unknown mode, and `--shards 1` builds exactly one shard.
+    let one = dir.join("one.typilus");
+    let train = |mode: &str| {
+        bin()
+            .args(["train", "--corpus", corpus.to_str().unwrap()])
+            .args(["--model", one.to_str().unwrap()])
+            .args(["--epochs", "1", "--dim", "8", "--gnn-steps", "2"])
+            .args(["--index", mode, "--shards", "1"])
+            .output()
+            .expect("train runs")
+    };
+    let out = train("forest");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("exact|sharded"), "{stderr}");
+    let out = train("sharded");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = bin()
+        .args(["index", "--model", one.to_str().unwrap(), "--info"])
+        .output()
+        .expect("index --info runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(" 1 shards,"), "{stdout}");
+
     std::fs::remove_dir_all(&dir).ok();
 }
 

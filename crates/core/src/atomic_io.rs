@@ -38,42 +38,9 @@ const FOOTER_MAGIC: &[u8; 8] = b"TYPCRC64";
 /// Footer layout: `payload_len: u64 LE | crc64: u64 LE | FOOTER_MAGIC`.
 pub const FOOTER_LEN: usize = 24;
 
-/// CRC-64/XZ (reflected ECMA-182 polynomial) lookup table, built at
-/// compile time.
-const CRC64_POLY: u64 = 0xC96C_5795_D787_0F42;
-
-const fn crc64_table() -> [u64; 256] {
-    let mut table = [0u64; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        let mut crc = i as u64;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 == 1 {
-                (crc >> 1) ^ CRC64_POLY
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC64_TABLE: [u64; 256] = crc64_table();
-
-/// CRC-64/XZ checksum of `bytes`. Detects every single-bit and
-/// single-byte error and every burst error up to 64 bits.
-// lint: allow(S3) — 256-entry table indexed by a `& 0xFF`-masked byte, always in bounds
-pub fn crc64(bytes: &[u8]) -> u64 {
-    let mut crc = !0u64;
-    for &b in bytes {
-        crc = CRC64_TABLE[((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
+/// CRC-64/XZ checksum of `bytes`: the one implementation, shared with
+/// the TypeSpace index format.
+pub use typilus_space::crc64;
 
 /// The payload framed with its integrity footer.
 fn frame(payload: &[u8]) -> Vec<u8> {

@@ -342,6 +342,26 @@ mod tests {
     }
 
     #[test]
+    fn retired_forest_index_is_a_typed_error() {
+        let (system, _) = tiny_system();
+        assert_eq!(system.type_map.index_kind(), "exact");
+        let mut bytes = system.to_bytes().unwrap();
+        // The type map's encoding ends with its index's u32 variant tag
+        // (0 = exact). Rewrite that tag to 1, the retired forest.
+        let map = typilus_serbin::to_bytes(&system.type_map).unwrap();
+        let start = bytes
+            .windows(map.len())
+            .position(|w| w == map.as_slice())
+            .expect("the artifact embeds the type map's encoding");
+        let tag = start + map.len() - 4;
+        assert_eq!(bytes[tag..tag + 4], 0u32.to_le_bytes());
+        bytes[tag..tag + 4].copy_from_slice(&1u32.to_le_bytes());
+        let err = TrainedSystem::from_bytes(&bytes).unwrap_err();
+        assert!(matches!(err, PersistError::Codec(_)), "{err}");
+        assert!(err.to_string().contains("--index exact|sharded"), "{err}");
+    }
+
+    #[test]
     fn truncated_payload_rejected() {
         let (system, _) = tiny_system();
         let bytes = system.to_bytes().unwrap();

@@ -295,7 +295,7 @@ pub struct ServerStats {
     pub overlay: usize,
     /// Embedding width.
     pub dim: usize,
-    /// Index state: `exact` / `forest` / `sharded` / `detached`.
+    /// Index state: `exact` / `sharded` / `detached`.
     pub index: String,
     /// Requests accepted since startup.
     pub requests: u64,

@@ -74,9 +74,9 @@ pub const SPACE_HEADER_LEN: usize = 104;
 const SHARD_ENTRY_LEN: usize = 24;
 const HEADER_CRC_OFF: usize = 96;
 
-// CRC-64/XZ, duplicated from `typilus_core::atomic_io` — `core`
-// depends on this crate, so the shared checksum lives on both sides of
-// the boundary. The known-answer test below pins the two in sync.
+// CRC-64/XZ (reflected ECMA-182 polynomial), the workspace's one
+// checksum: `typilus_core::atomic_io` re-exports [`crc64`] for the
+// artifact footer, so the index and every other artifact share it.
 const CRC64_POLY: u64 = 0xC96C_5795_D787_0F42;
 
 const fn crc64_table() -> [u64; 256] {
@@ -101,8 +101,10 @@ const fn crc64_table() -> [u64; 256] {
 
 static CRC64_TABLE: [u64; 256] = crc64_table();
 
+/// CRC-64/XZ checksum of `bytes`. Detects every single-bit and
+/// single-byte error and every burst error up to 64 bits.
 // lint: allow(S3) — the lookup index is masked to 8 bits and CRC64_TABLE has 256 entries
-fn crc64(bytes: &[u8]) -> u64 {
+pub fn crc64(bytes: &[u8]) -> u64 {
     let mut crc = !0u64;
     for &b in bytes {
         crc = CRC64_TABLE[((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
@@ -664,9 +666,9 @@ impl SpaceIndex {
         cast_u32s(&self.payload()[range.off..range.off + range.len])
     }
 
-    /// The approximate `k` nearest points in ascending distance —
-    /// exactly the hits [`crate::shard::reference_forest`] returns for
-    /// the same `(points, config, seed)`.
+    /// The approximate `k` nearest points in ascending distance:
+    /// priority search over every shard's trees, examining at least
+    /// `search_k` candidate points, then exact L1 ranking.
     pub fn query(&self, query: &[f32], k: usize) -> Vec<Hit> {
         let mut scratch = QueryScratch::new();
         let mut out = Vec::new();
@@ -676,8 +678,9 @@ impl SpaceIndex {
 
     /// Allocation-free [`SpaceIndex::query`] straight off the mapped
     /// bytes: priority search over every shard's trees (frontier
-    /// ordered by `(margin, insertion seq)`, matching the in-memory
-    /// forest), then exact L1 ranking of the candidates.
+    /// ordered by `(margin, insertion seq)`, so the visiting order does
+    /// not depend on how nodes are addressed), then exact L1 ranking of
+    /// the candidates.
     ///
     /// On an unverified view, corrupt tree bytes can make this panic
     /// on an out-of-bounds word index (memory-safe); run
@@ -810,6 +813,85 @@ fn unpack(payload: u64) -> (u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference traversal the view is checked against: the same
+    /// priority search as [`SpaceIndex::query_into`], run over the
+    /// in-memory tree sets of [`build_shards`] (the ones the writer
+    /// serializes) instead of the encoded words. A disagreement puts
+    /// the bug in the on-disk encoding or the view's decoding.
+    struct Oracle {
+        points: PointStore,
+        shards: Vec<ShardTrees>,
+        search_k: usize,
+    }
+
+    impl Oracle {
+        fn build(points: PointStore, config: &SpaceConfig, seed: u64) -> Oracle {
+            let shards = build_shards(&points, config, seed, None);
+            Oracle {
+                points,
+                shards,
+                search_k: config.forest.search_k,
+            }
+        }
+
+        fn query(&self, query: &[f32], k: usize) -> Vec<Hit> {
+            let mut out = Vec::new();
+            if self.points.is_empty() {
+                return out;
+            }
+            let mut scratch = QueryScratch::new();
+            scratch.begin(self.points.len());
+            for (s, shard) in self.shards.iter().enumerate() {
+                for &root in &shard.roots {
+                    scratch.frontier_push(0.0, pack(s as u32, root as u32));
+                }
+            }
+            while let Some(payload) = scratch.frontier_pop() {
+                let (s, node) = unpack(payload);
+                match &self.shards[s as usize].nodes[node as usize] {
+                    TreeNode::Leaf { points } => {
+                        for &p in points {
+                            if scratch.mark_new(p) {
+                                scratch.candidates.push(p as u32);
+                            }
+                        }
+                        if scratch.candidates.len() >= self.search_k {
+                            break;
+                        }
+                    }
+                    TreeNode::Split {
+                        direction,
+                        threshold,
+                        left,
+                        right,
+                    } => {
+                        let margin = dot(query, direction) - *threshold;
+                        let (near, far) = if margin < 0.0 {
+                            (*left, *right)
+                        } else {
+                            (*right, *left)
+                        };
+                        scratch.frontier_push(0.0, pack(s, near as u32));
+                        scratch.frontier_push(margin.abs(), pack(s, far as u32));
+                    }
+                }
+            }
+            let QueryScratch {
+                heap, candidates, ..
+            } = &mut scratch;
+            top_k_into(
+                &self.points,
+                candidates.iter().map(|&c| c as usize),
+                query,
+                k,
+                heap,
+                &mut out,
+            );
+            out
+        }
+    }
 
     fn fixture_points(n: usize, dim: usize, seed: u64) -> (PointStore, Vec<String>) {
         let mut state = seed | 1;
@@ -865,7 +947,7 @@ mod tests {
     }
 
     #[test]
-    fn disk_query_equals_reference_forest() {
+    fn disk_query_equals_reference_traversal() {
         let (points, names) = fixture_points(400, 5, 9);
         let config = SpaceConfig {
             shards: 3,
@@ -877,7 +959,7 @@ mod tests {
             rebuild_threshold: 64,
         };
         let index = SpaceIndex::build(&points, &names, &config, 23, None).unwrap();
-        let reference = crate::shard::reference_forest(points, &config, 23);
+        let reference = Oracle::build(points, &config, 23);
         let mut state = 77u64;
         for _ in 0..25 {
             let q: Vec<f32> = (0..5)
@@ -920,6 +1002,42 @@ mod tests {
         // different error.
         if let Err(e) = result {
             assert_eq!(e, SpaceError::Misaligned);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The zero-copy view returns exactly the hits of the reference
+        /// traversal over the same build (same indexes, same distance
+        /// bits) for any shard count and seed.
+        #[test]
+        fn disk_index_query_equals_reference_traversal(
+            points in prop::collection::vec(prop::collection::vec(-1.0f32..1.0, 4), 2..40),
+            query in prop::collection::vec(-1.0f32..1.0, 4),
+            seed in 0u64..50,
+            shards in 1usize..5,
+            k in 1usize..8,
+        ) {
+            let store = PointStore::from_rows(points);
+            let config = SpaceConfig {
+                shards,
+                forest: RpForestConfig { trees: 5, leaf_size: 4, search_k: 64 },
+                rebuild_threshold: 8,
+            };
+            let names: Vec<String> = (0..store.len()).map(|i| format!("t{}", i % 3)).collect();
+            let payload = build_payload(&store, &names, &config, seed, None).expect("build");
+            let index = SpaceIndex::from_payload(&payload).expect("open");
+            let reference = Oracle::build(store, &config, seed);
+            let mut scratch = QueryScratch::new();
+            let mut disk_hits = Vec::new();
+            index.query_into(&query, k, &mut scratch, &mut disk_hits);
+            let mem_hits = reference.query(&query, k);
+            prop_assert_eq!(disk_hits.len(), mem_hits.len());
+            for (d, m) in disk_hits.iter().zip(&mem_hits) {
+                prop_assert_eq!(d.index, m.index);
+                prop_assert_eq!(d.distance.to_bits(), m.distance.to_bits());
+            }
         }
     }
 }

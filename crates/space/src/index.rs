@@ -1,9 +1,11 @@
-//! Nearest-neighbour indexes over the TypeSpace (L1 metric).
+//! Nearest-neighbour building blocks over the TypeSpace (L1 metric).
 //!
-//! The paper uses Annoy for sub-linear kNN queries. [`RpForest`] is an
-//! Annoy-style forest of random-projection trees with priority search;
-//! [`ExactIndex`] is the brute-force reference used in tests and for
-//! small type maps.
+//! The paper uses Annoy for sub-linear kNN queries. This module holds
+//! the pieces the one approximate index, the sharded zero-copy
+//! [`crate::SpaceIndex`], is made of: the random-projection tree
+//! builder, the [`RpForestConfig`] knobs and the priority-search
+//! scratch. [`ExactIndex`] is the brute-force reference used in tests
+//! and for small type maps.
 //!
 //! Points live in a [`PointStore`]: one contiguous row-major `Vec<f32>`
 //! rather than a `Vec<Vec<f32>>`, so the distance kernel streams
@@ -19,9 +21,9 @@
 //! top-k heap) — the allocating `query` wrappers remain for tests and
 //! one-off callers. The priority-search frontier is ordered by
 //! `(margin, insertion sequence)`, a total order independent of how
-//! tree nodes are addressed, so the in-memory forest and the zero-copy
-//! on-disk view (`crate::disk`) visit candidates in exactly the same
-//! order.
+//! tree nodes are addressed, so a traversal of the in-memory build
+//! output and the zero-copy on-disk view (`crate::disk`) visit
+//! candidates in exactly the same order.
 
 use crate::error::SpaceError;
 pub use crate::kernel::{l1, l1_pruned, l1_pruned_reference, l1_reference};
@@ -463,7 +465,8 @@ impl ExactIndex {
     }
 }
 
-/// Construction options for [`RpForest`].
+/// Per-tree construction and search options of the random-projection
+/// trees behind [`crate::SpaceIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RpForestConfig {
     /// Number of trees; more trees, better recall.
@@ -485,7 +488,7 @@ impl Default for RpForestConfig {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug)]
 pub(crate) enum TreeNode {
     Leaf {
         points: Vec<usize>,
@@ -592,131 +595,6 @@ impl<'a> TreeBuilder<'a> {
     }
 }
 
-/// An Annoy-style forest of random-projection trees under L1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RpForest {
-    points: PointStore,
-    nodes: Vec<TreeNode>,
-    roots: Vec<usize>,
-    config: RpForestConfig,
-}
-
-impl RpForest {
-    /// Builds the forest over `points`.
-    pub fn build(points: Vec<Vec<f32>>, config: RpForestConfig, seed: u64) -> RpForest {
-        RpForest::from_store(PointStore::from_rows(points), config, seed)
-    }
-
-    /// Builds the forest over already-contiguous points.
-    pub fn from_store(points: PointStore, config: RpForestConfig, seed: u64) -> RpForest {
-        let mut builder = TreeBuilder::new(&points, config);
-        builder.build_trees(config.trees, seed);
-        let TreeBuilder { nodes, roots, .. } = builder;
-        RpForest {
-            points,
-            nodes,
-            roots,
-            config,
-        }
-    }
-
-    /// Assembles a forest from pre-built parts (the sharded builder's
-    /// merged tree sets).
-    pub(crate) fn from_parts(
-        points: PointStore,
-        nodes: Vec<TreeNode>,
-        roots: Vec<usize>,
-        config: RpForestConfig,
-    ) -> RpForest {
-        RpForest {
-            points,
-            nodes,
-            roots,
-            config,
-        }
-    }
-
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The approximate `k` nearest points in ascending distance.
-    ///
-    /// Performs a priority search across all trees, examining at least
-    /// `search_k` candidate points, then ranks candidates by true L1.
-    pub fn query(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        let mut scratch = QueryScratch::new();
-        let mut out = Vec::new();
-        self.query_into(query, k, &mut scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free [`RpForest::query`]: identical hits written into
-    /// `out`, reusing `scratch`'s buffers.
-    pub fn query_into(
-        &self,
-        query: &[f32],
-        k: usize,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<Hit>,
-    ) {
-        out.clear();
-        if self.points.is_empty() {
-            return;
-        }
-        scratch.begin(self.points.len());
-        for &root in &self.roots {
-            scratch.frontier_push(0.0, root as u64);
-        }
-        while let Some(payload) = scratch.frontier_pop() {
-            match &self.nodes[payload as usize] {
-                TreeNode::Leaf { points } => {
-                    for &p in points {
-                        if scratch.mark_new(p) {
-                            scratch.candidates.push(p as u32);
-                        }
-                    }
-                    if scratch.candidates.len() >= self.config.search_k {
-                        break;
-                    }
-                }
-                TreeNode::Split {
-                    direction,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    let margin = dot(query, direction) - *threshold;
-                    let (near, far) = if margin < 0.0 {
-                        (*left, *right)
-                    } else {
-                        (*right, *left)
-                    };
-                    scratch.frontier_push(0.0, near as u64);
-                    scratch.frontier_push(margin.abs(), far as u64);
-                }
-            }
-        }
-        let QueryScratch {
-            heap, candidates, ..
-        } = scratch;
-        top_k_into(
-            &self.points,
-            candidates.iter().map(|&c| c as usize),
-            query,
-            k,
-            heap,
-            out,
-        );
-    }
-}
-
 pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
@@ -724,12 +602,26 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SpaceConfig, SpaceIndex};
 
     fn random_points(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
             .map(|_| (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect())
             .collect()
+    }
+
+    /// A one-shard [`SpaceIndex`] over `points`: the approximate index
+    /// with all of its trees in a single group.
+    fn one_shard(points: Vec<Vec<f32>>, forest: RpForestConfig, seed: u64) -> SpaceIndex {
+        let names = vec![String::new(); points.len()];
+        let config = SpaceConfig {
+            shards: 1,
+            forest,
+            rebuild_threshold: 1,
+        };
+        SpaceIndex::build(&PointStore::from_rows(points), &names, &config, seed, None)
+            .expect("one-shard build")
     }
 
     /// The old full-sort selection, kept as the reference the pruned
@@ -842,7 +734,7 @@ mod tests {
     fn query_into_matches_query_and_reuses_buffers() {
         let points = random_points(300, 9, 21);
         let exact = ExactIndex::new(points.clone());
-        let forest = RpForest::build(points, RpForestConfig::default(), 5);
+        let forest = one_shard(points, RpForestConfig::default(), 5);
         let mut scratch = QueryScratch::new();
         let mut out = Vec::new();
         let mut rng = StdRng::seed_from_u64(3);
@@ -857,10 +749,10 @@ mod tests {
 
     #[test]
     fn forest_exact_recall_on_small_data() {
-        // With search_k >= n the forest must return exact results.
+        // With search_k >= n the index must return exact results.
         let points = random_points(200, 8, 1);
         let exact = ExactIndex::new(points.clone());
-        let forest = RpForest::build(
+        let forest = one_shard(
             points,
             RpForestConfig {
                 trees: 8,
@@ -879,7 +771,7 @@ mod tests {
     fn forest_high_recall_with_partial_search() {
         let points = random_points(2000, 16, 2);
         let exact = ExactIndex::new(points.clone());
-        let forest = RpForest::build(points, RpForestConfig::default(), 3);
+        let forest = one_shard(points, RpForestConfig::default(), 3);
         let mut rng = StdRng::seed_from_u64(9);
         let mut recall_hits = 0;
         let mut total = 0;
@@ -897,7 +789,7 @@ mod tests {
 
     #[test]
     fn empty_forest_returns_nothing() {
-        let forest = RpForest::build(Vec::new(), RpForestConfig::default(), 0);
+        let forest = one_shard(Vec::new(), RpForestConfig::default(), 0);
         assert!(forest.query(&[0.0], 5).is_empty());
         assert!(forest.is_empty());
     }
@@ -905,7 +797,7 @@ mod tests {
     #[test]
     fn identical_points_degenerate_split() {
         let points = vec![vec![1.0, 2.0]; 100];
-        let forest = RpForest::build(
+        let forest = one_shard(
             points,
             RpForestConfig {
                 trees: 4,

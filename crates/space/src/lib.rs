@@ -2,14 +2,14 @@
 //!
 //! The TypeSpace machinery of the Typilus reproduction: the adaptive
 //! type map `τmap` (embedding → type markers), kNN type prediction with
-//! the distance-weighted vote of paper Eq. 5, and an Annoy-style
-//! random-projection forest for sub-linear queries under L1 (the paper
-//! uses Annoy with the same metric).
+//! the distance-weighted vote of paper Eq. 5, and one approximate
+//! index for sub-linear queries under L1: an Annoy-style
+//! random-projection forest (the paper uses Annoy with the same metric).
 //!
-//! For million-marker spaces the forest scales through the sharded
-//! machinery: [`shard`] builds tree groups in parallel with
-//! deterministic per-shard seeds, [`disk`] lays the whole index out in
-//! a contiguous little-endian format that [`SpaceIndex`] queries
+//! That index is [`SpaceIndex`]: [`shard`] builds its tree groups in
+//! parallel with deterministic per-shard seeds (one shard for a small
+//! map, many for a million markers), [`disk`] lays the whole index out
+//! in a contiguous little-endian format that [`SpaceIndex`] queries
 //! zero-copy straight from a memory-mapped (or any borrowed) view, and
 //! [`TypeMap`] keeps post-build markers queryable through a
 //! deterministic overlay merged by periodic rebuild.
@@ -37,12 +37,12 @@ pub mod shard;
 pub mod typemap;
 
 pub use disk::{
-    build_payload, AlignedBytes, SpaceIndex, SPACE_HEADER_LEN, SPACE_MAGIC, SPACE_VERSION,
+    build_payload, crc64, AlignedBytes, SpaceIndex, SPACE_HEADER_LEN, SPACE_MAGIC, SPACE_VERSION,
 };
 pub use error::SpaceError;
 pub use index::{
     l1, l1_pruned, l1_pruned_reference, l1_reference, ExactIndex, Hit, PointStore, QueryScratch,
-    RpForest, RpForestConfig,
+    RpForestConfig,
 };
-pub use shard::{reference_forest, SpaceConfig};
+pub use shard::SpaceConfig;
 pub use typemap::{KnnConfig, TypeMap, TypePrediction};

@@ -11,7 +11,7 @@
 //! including a serial build with no pool at all. The benchmark and
 //! detcheck assert this byte-identity.
 
-use crate::index::{PointStore, RpForest, RpForestConfig, TreeBuilder, TreeNode};
+use crate::index::{PointStore, RpForestConfig, TreeBuilder, TreeNode};
 use serde::{Deserialize, Serialize};
 use typilus_nn::WorkerPool;
 
@@ -19,7 +19,8 @@ use typilus_nn::WorkerPool;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SpaceConfig {
     /// Number of tree groups built (and checksummed) independently;
-    /// also the grain of build parallelism. Clamped up to 1.
+    /// also the grain of build parallelism. Clamped up to 1; one shard
+    /// is a plain single-group forest.
     pub shards: usize,
     /// Per-tree construction and search parameters.
     pub forest: RpForestConfig,
@@ -107,36 +108,6 @@ pub(crate) fn build_shards(
             .map(|&(s, trees)| build_shard(points, config.forest, trees, shard_seed(seed, s)))
             .collect(),
     }
-}
-
-/// The in-memory equivalent of the sharded on-disk index: every
-/// shard's trees merged into a single [`RpForest`] (node indexes
-/// rebased, roots concatenated in shard order). The on-disk writer
-/// consumes the identical per-shard tree sets, so tests can assert the
-/// zero-copy view returns exactly this forest's results.
-pub fn reference_forest(points: PointStore, config: &SpaceConfig, seed: u64) -> RpForest {
-    let shards = build_shards(&points, config, seed, None);
-    let mut nodes: Vec<TreeNode> = Vec::new();
-    let mut roots: Vec<usize> = Vec::new();
-    for shard in shards {
-        let base = nodes.len();
-        nodes.extend(shard.nodes.into_iter().map(|node| match node {
-            TreeNode::Leaf { points } => TreeNode::Leaf { points },
-            TreeNode::Split {
-                direction,
-                threshold,
-                left,
-                right,
-            } => TreeNode::Split {
-                direction,
-                threshold,
-                left: left + base,
-                right: right + base,
-            },
-        }));
-        roots.extend(shard.roots.into_iter().map(|r| r + base));
-    }
-    RpForest::from_parts(points, nodes, roots, config.forest)
 }
 
 #[cfg(test)]

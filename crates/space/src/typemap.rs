@@ -10,13 +10,14 @@
 //! makes it predictable immediately, with no retraining — the paper's
 //! one-shot open-vocabulary mechanism.
 //!
-//! Three index states back the nearest-neighbour search: brute-force
-//! [`Index::Exact`], the in-memory [`RpForest`], and the sharded
-//! zero-copy [`SpaceIndex`] view. The sharded state supports
-//! *incremental* insertion: markers added after the build live in a
-//! deterministic overlay that is scanned exactly and merged with the
-//! view's hits, and once the overlay reaches the configured threshold
-//! the index is rebuilt in place from the same config and seed.
+//! Two index states back the nearest-neighbour search: brute-force
+//! [`Index::Exact`] and the sharded zero-copy [`SpaceIndex`] view, the
+//! one approximate index (a single shard is a plain forest). The
+//! sharded state supports *incremental* insertion: markers added after
+//! the build live in a deterministic overlay that is scanned exactly
+//! and merged with the view's hits, and once the overlay reaches the
+//! configured threshold the index is rebuilt in place from the same
+//! config and seed.
 //! When a map with a sharded index is serialized, only the index's
 //! identity (`file_id`) travels inside the model artifact; the payload
 //! itself is persisted as a sidecar file and re-attached on load
@@ -24,7 +25,7 @@
 
 use crate::disk::SpaceIndex;
 use crate::error::SpaceError;
-use crate::index::{self, Hit, PointStore, QueryScratch, RpForest, RpForestConfig};
+use crate::index::{self, Hit, PointStore, QueryScratch, RpForestConfig};
 use crate::shard::SpaceConfig;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -101,8 +102,6 @@ impl KnnConfig {
 enum Index {
     /// Brute force (always exact, default until an index is built).
     Exact,
-    /// Annoy-style approximate forest, in memory.
-    Forest(Box<RpForest>),
     /// Sharded zero-copy view of the on-disk index payload.
     Sharded(SpaceIndex),
     /// A sharded index existed when the map was serialized; only its
@@ -122,16 +121,24 @@ enum Index {
 #[derive(Deserialize)]
 enum IndexWire {
     Exact,
-    Forest(Box<RpForest>),
-    Detached { file_id: u64 },
+    /// Variant index 1 held the retired in-memory forest. It is kept
+    /// as a tag only, so artifacts that carry one decode to a typed
+    /// error instead of misreading the forest's bytes.
+    Forest,
+    Detached {
+        file_id: u64,
+    },
 }
+
+/// What loading an artifact with a retired in-memory forest reports.
+const RETIRED_FOREST_MESSAGE: &str = "this model stores the retired in-memory RP-forest \
+     index; retrain it with --index exact|sharded";
 
 impl Serialize for Index {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStructVariant;
         match self {
             Index::Exact => serializer.serialize_unit_variant("Index", 0, "Exact"),
-            Index::Forest(f) => serializer.serialize_newtype_variant("Index", 1, "Forest", f),
             Index::Sharded(ix) => {
                 let mut sv = serializer.serialize_struct_variant("Index", 2, "Detached", 1)?;
                 sv.serialize_field("file_id", &ix.file_id())?;
@@ -148,11 +155,11 @@ impl Serialize for Index {
 
 impl<'de> Deserialize<'de> for Index {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        Ok(match IndexWire::deserialize(deserializer)? {
-            IndexWire::Exact => Index::Exact,
-            IndexWire::Forest(f) => Index::Forest(f),
-            IndexWire::Detached { file_id } => Index::Detached { file_id },
-        })
+        match IndexWire::deserialize(deserializer)? {
+            IndexWire::Exact => Ok(Index::Exact),
+            IndexWire::Forest => Err(serde::de::Error::custom(RETIRED_FOREST_MESSAGE)),
+            IndexWire::Detached { file_id } => Ok(Index::Detached { file_id }),
+        }
     }
 }
 
@@ -188,9 +195,7 @@ impl TypeMap {
     /// Adds a marker binding `embedding ↦ ty`.
     ///
     /// The new marker is queryable immediately in every index state —
-    /// this is what makes the map adaptive. An in-memory forest is
-    /// invalidated (queries fall back to exact search until
-    /// [`TypeMap::build_index`] runs again). A sharded index stays
+    /// this is what makes the map adaptive. A sharded index stays
     /// attached: the marker joins a deterministic overlay that is
     /// scanned exactly and merged into every query, and once the
     /// overlay reaches the index's `rebuild_threshold` (a threshold of
@@ -211,44 +216,25 @@ impl TypeMap {
     pub fn add(&mut self, embedding: Vec<f32>, ty: PyType) -> Result<(), SpaceError> {
         self.embeddings.try_push(&embedding)?;
         self.types.push(ty);
-        enum After {
-            Nothing,
-            DropForest,
-            Rebuild { config: SpaceConfig, seed: u64 },
-        }
-        let action = match &self.index {
-            Index::Exact | Index::Detached { .. } => After::Nothing,
-            Index::Forest(_) => After::DropForest,
-            Index::Sharded(ix) => {
-                let overlay = self.embeddings.len() - ix.len();
-                if overlay >= ix.rebuild_threshold().max(1) {
-                    After::Rebuild {
-                        config: ix.config(),
-                        seed: ix.seed(),
-                    }
-                } else {
-                    After::Nothing
-                }
+        let rebuild = match &self.index {
+            Index::Sharded(ix)
+                if self.embeddings.len() - ix.len() >= ix.rebuild_threshold().max(1) =>
+            {
+                Some((ix.config(), ix.seed()))
             }
+            _ => None,
         };
-        match action {
-            After::Nothing => {}
-            After::DropForest => self.index = Index::Exact,
-            After::Rebuild { config, seed } => {
-                if let Err(e) = self.build_sharded_index(&config, seed, None) {
-                    // Rebuild failure (e.g. the map outgrew the 32-bit
-                    // id space) must not lose markers or correctness:
-                    // degrade to exact search. Warn-once so a busy
-                    // server hitting this on every add does not flood
-                    // stderr.
-                    typilus_nn::warn_once(
-                        "space.rebuild",
-                        &format!(
-                            "sharded index rebuild failed ({e}); falling back to exact search"
-                        ),
-                    );
-                    self.index = Index::Exact;
-                }
+        if let Some((config, seed)) = rebuild {
+            if let Err(e) = self.build_sharded_index(&config, seed, None) {
+                // Rebuild failure (e.g. the map outgrew the 32-bit id
+                // space) must not lose markers or correctness: degrade
+                // to exact search. Warn-once so a busy server hitting
+                // this on every add does not flood stderr.
+                typilus_nn::warn_once(
+                    "space.rebuild",
+                    &format!("sharded index rebuild failed ({e}); falling back to exact search"),
+                );
+                self.index = Index::Exact;
             }
         }
         Ok(())
@@ -265,12 +251,11 @@ impl TypeMap {
     }
 
     /// The index state backing nearest-neighbour search, as a stable
-    /// lowercase name: `"exact"`, `"forest"`, `"sharded"` or
-    /// `"detached"`. Diagnostic surface for `stats`-style endpoints.
+    /// lowercase name: `"exact"`, `"sharded"` or `"detached"`.
+    /// Diagnostic surface for `stats`-style endpoints.
     pub fn index_kind(&self) -> &'static str {
         match &self.index {
             Index::Exact => "exact",
-            Index::Forest(_) => "forest",
             Index::Sharded(_) => "sharded",
             Index::Detached { .. } => "detached",
         }
@@ -295,13 +280,23 @@ impl TypeMap {
         seen.len()
     }
 
-    /// Builds the in-memory approximate index (Annoy-like RP forest).
+    /// Builds a one-shard approximate index serially: shorthand for
+    /// [`TypeMap::build_sharded_index`] with `shards: 1`, `config` as
+    /// the tree knobs and the default rebuild threshold. A failed build
+    /// warns once and leaves exact search in place.
     pub fn build_index(&mut self, config: RpForestConfig, seed: u64) {
-        self.index = Index::Forest(Box::new(RpForest::from_store(
-            self.embeddings.clone(),
-            config,
-            seed,
-        )));
+        let config = SpaceConfig {
+            shards: 1,
+            forest: config,
+            ..SpaceConfig::default()
+        };
+        if let Err(e) = self.build_sharded_index(&config, seed, None) {
+            typilus_nn::warn_once(
+                "space.build",
+                &format!("index build failed ({e}); using exact search"),
+            );
+            self.index = Index::Exact;
+        }
     }
 
     /// Builds the sharded on-disk-format index over the current
@@ -454,7 +449,6 @@ impl TypeMap {
                 &mut scratch.heap,
                 out,
             ),
-            Index::Forest(f) => f.query_into(query, k, scratch, out),
             Index::Sharded(ix) => {
                 ix.query_into(query, k, scratch, out);
                 let base = ix.len();
@@ -631,6 +625,7 @@ mod tests {
             },
             1,
         );
+        assert_eq!(m.space_index().map(SpaceIndex::shard_count), Some(1));
         let approx_top = m.predict_top(&query, KnnConfig::default()).unwrap();
         assert_eq!(exact_top.ty, approx_top.ty);
     }
@@ -665,6 +660,8 @@ mod tests {
         let mut m = small_map();
         m.build_index(RpForestConfig::default(), 0);
         m.add(vec![9.0, 9.0], t("bytes")).unwrap();
+        assert_eq!(m.overlay_len(), 1, "marker must land in the overlay");
+        assert_eq!(m.index_kind(), "sharded");
         // The new marker must be findable immediately.
         let top = m
             .predict_top(&[9.0, 9.0], KnnConfig { k: 1, p: 1.0 })

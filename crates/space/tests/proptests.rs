@@ -3,14 +3,25 @@
 use proptest::prelude::*;
 use typilus_nn::{available_widths, set_simd_width};
 use typilus_space::{
-    build_payload, l1, l1_pruned, l1_pruned_reference, l1_reference, reference_forest, ExactIndex,
-    Hit, KnnConfig, PointStore, QueryScratch, RpForest, RpForestConfig, SpaceConfig, SpaceIndex,
-    TypeMap,
+    l1, l1_pruned, l1_pruned_reference, l1_reference, ExactIndex, Hit, KnnConfig, PointStore,
+    QueryScratch, RpForestConfig, SpaceConfig, SpaceIndex, TypeMap,
 };
 use typilus_types::PyType;
 
 fn arb_points(n: std::ops::Range<usize>, dim: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
     prop::collection::vec(prop::collection::vec(-1.0f32..1.0, dim), n)
+}
+
+/// A one-shard approximate index over `points`.
+fn one_shard(points: Vec<Vec<f32>>, forest: RpForestConfig, seed: u64) -> SpaceIndex {
+    let names = vec![String::new(); points.len()];
+    let config = SpaceConfig {
+        shards: 1,
+        forest,
+        rebuild_threshold: 1,
+    };
+    SpaceIndex::build(&PointStore::from_rows(points), &names, &config, seed, None)
+        .expect("one-shard build")
 }
 
 proptest! {
@@ -87,7 +98,7 @@ proptest! {
     ) {
         let n = points.len();
         let exact = ExactIndex::new(points.clone());
-        let forest = RpForest::build(
+        let forest = one_shard(
             points,
             RpForestConfig { trees: 6, leaf_size: 4, search_k: n },
             seed,
@@ -159,42 +170,6 @@ proptest! {
         }
     }
 
-    /// The zero-copy on-disk index returns exactly the hits of the
-    /// in-memory forest the sharded build is defined against — same
-    /// indexes, same distance bits — for any shard count and seed.
-    #[test]
-    fn disk_index_query_equals_reference_forest(
-        points in arb_points(2..40, 4),
-        query in prop::collection::vec(-1.0f32..1.0, 4),
-        seed in 0u64..50,
-        shards in 1usize..5,
-        k in 1usize..8,
-    ) {
-        let mut store = PointStore::new(4);
-        for p in &points {
-            store.push(p);
-        }
-        let config = SpaceConfig {
-            shards,
-            forest: RpForestConfig { trees: 5, leaf_size: 4, search_k: 64 },
-            rebuild_threshold: 8,
-        };
-        let names: Vec<String> =
-            (0..points.len()).map(|i| format!("t{}", i % 3)).collect();
-        let payload = build_payload(&store, &names, &config, seed, None).expect("build");
-        let index = SpaceIndex::from_payload(&payload).expect("open");
-        let forest = reference_forest(store, &config, seed);
-        let mut scratch = QueryScratch::new();
-        let mut disk_hits = Vec::new();
-        index.query_into(&query, k, &mut scratch, &mut disk_hits);
-        let mem_hits = forest.query(&query, k);
-        prop_assert_eq!(disk_hits.len(), mem_hits.len());
-        for (d, m) in disk_hits.iter().zip(&mem_hits) {
-            prop_assert_eq!(d.index, m.index);
-            prop_assert_eq!(d.distance.to_bits(), m.distance.to_bits());
-        }
-    }
-
     /// `query_into` with dirty, reused buffers returns exactly what the
     /// allocating `query` does, for both index kinds.
     #[test]
@@ -206,7 +181,7 @@ proptest! {
     ) {
         let n = points.len();
         let exact = ExactIndex::new(points.clone());
-        let forest = RpForest::build(
+        let forest = one_shard(
             points,
             RpForestConfig { trees: 4, leaf_size: 4, search_k: n },
             seed,

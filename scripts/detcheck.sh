@@ -10,7 +10,9 @@
 # one). Further legs force the SIMD tile width (TYPILUS_SIMD), the
 # naive reference kernels (TYPILUS_NN_NAIVE) and a kill-and-resume run
 # at a forced width: artifacts must be byte-identical across kernel
-# mode x SIMD width x thread count x resume path. Run from anywhere;
+# mode x SIMD width x thread count x resume path. A one-shard
+# `--index sharded --shards 1` training leg must write the same model,
+# sidecar and predictions at 1 and 4 threads. Run from anywhere;
 # operates on the repo root. Expects `cargo build --release` to have
 # run (tier1.sh orders it that way) but builds on demand otherwise.
 set -euo pipefail
@@ -128,6 +130,27 @@ for t in 1 4; do
             --model "$WORK/ix$t/model.typilus" --top 3 >"$WORK/ix$t/predict.out"
 done
 
+# One-shard leg: `train --index sharded --shards 1`, the single-forest
+# layout of the approximate index, trained at 1 vs 4 threads. The
+# sidecar must really hold one shard and pass its checksum sweep, and
+# model, sidecar and predictions must be byte-identical.
+for t in 1 4; do
+    mkdir -p "$WORK/one$t"
+    TYPILUS_THREADS=$t "$TYPILUS" train --corpus "$WORK/corpus" \
+        --model "$WORK/one$t/model.typilus" --index sharded --shards 1 \
+        --epochs 2 --dim 16 --gnn-steps 2 --seed 7 >"$WORK/one$t/train.out"
+    TYPILUS_THREADS=$t "$TYPILUS" index --model "$WORK/one$t/model.typilus" \
+        --verify >"$WORK/one$t/index.out"
+    if ! grep -q ' 1 shards,' "$WORK/one$t/index.out"; then
+        echo "detcheck: --shards 1 did not build one shard:" >&2
+        cat "$WORK/one$t/index.out" >&2
+        exit 1
+    fi
+    find "$WORK/corpus" -name '*.py' | sort | head -8 |
+        TYPILUS_THREADS=$t xargs "$TYPILUS" predict \
+            --model "$WORK/one$t/model.typilus" --top 3 >"$WORK/one$t/predict.out"
+done
+
 for artifact in model.typilus predict.out eval.out; do
     check "$artifact" "$WORK/t1" 1-thread "$WORK/t4" 4-thread
     check "$artifact" "$WORK/t1" 1-thread "$WORK/r1" resumed-1t
@@ -141,6 +164,7 @@ done
 
 for artifact in model.typilus model.typilus.space predict.out; do
     check "$artifact" "$WORK/ix1" index-1t "$WORK/ix4" index-4t
+    check "$artifact" "$WORK/one1" one-shard-1t "$WORK/one4" one-shard-4t
 done
 
 if [ "$status" -ne 0 ]; then

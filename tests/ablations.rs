@@ -6,7 +6,7 @@ use typilus::{
     ModelConfig, PreparedCorpus, TypilusConfig,
 };
 use typilus_corpus::{generate, CorpusConfig};
-use typilus_space::RpForestConfig;
+use typilus_space::{RpForestConfig, SpaceConfig};
 
 fn run_with_edges(edges: EdgeSet, files: usize, epochs: usize) -> (f64, usize) {
     let corpus = generate(&CorpusConfig {
@@ -82,14 +82,21 @@ fn approximate_index_preserves_predictions() {
     };
     let exact_system = train(&data, &config);
     let mut approx_system = exact_system.clone();
-    approx_system.type_map.build_index(
-        RpForestConfig {
-            trees: 12,
-            leaf_size: 16,
-            search_k: 512,
-        },
-        7,
-    );
+    approx_system
+        .type_map
+        .build_sharded_index(
+            &SpaceConfig {
+                forest: RpForestConfig {
+                    trees: 12,
+                    leaf_size: 16,
+                    search_k: 512,
+                },
+                ..SpaceConfig::default()
+            },
+            7,
+            None,
+        )
+        .expect("index build");
     let mut total = 0usize;
     let mut agree = 0usize;
     for &idx in &data.split.test {
