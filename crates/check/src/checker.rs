@@ -12,6 +12,7 @@ use crate::env::TypeEnv;
 use crate::infer::{binop_valid, Inferencer};
 use typilus_pyast::ast::{Expr, ExprKind, NodeId, Stmt, StmtKind};
 use typilus_pyast::symtable::{SymbolId, SymbolKind, SymbolTable};
+use typilus_pyast::visit::{walk_stmt, Visitor};
 use typilus_pyast::{Parsed, Span};
 use typilus_types::{PyType, TypeHierarchy};
 
@@ -781,50 +782,46 @@ fn aug_op(op: &str) -> Option<typilus_pyast::ast::BinOp> {
 fn body_returns_value(stmts: &[Stmt]) -> bool {
     stmts.iter().any(|stmt| match &stmt.kind {
         StmtKind::Return(Some(_)) => true,
-        StmtKind::If { body, orelse, .. }
-        | StmtKind::While { body, orelse, .. }
-        | StmtKind::For { body, orelse, .. } => {
-            body_returns_value(body) || body_returns_value(orelse)
-        }
-        StmtKind::With { body, .. } => body_returns_value(body),
-        StmtKind::Try {
-            body,
-            handlers,
-            orelse,
-            finalbody,
-        } => {
-            body_returns_value(body)
-                || handlers.iter().any(|h| body_returns_value(&h.body))
-                || body_returns_value(orelse)
-                || body_returns_value(finalbody)
-        }
-        _ => false,
+        StmtKind::FunctionDef(_) | StmtKind::ClassDef(_) => false,
+        _ => stmt.blocks().any(body_returns_value),
     })
 }
 
+/// Whether the body yields, in any expression position, outside nested
+/// defs, classes and lambdas: then the function is a generator.
 fn body_yields(stmts: &[Stmt]) -> bool {
-    stmts.iter().any(|stmt| match &stmt.kind {
-        StmtKind::Expr(e) => {
-            matches!(e.kind, ExprKind::Yield(_) | ExprKind::YieldFrom(_))
+    struct YieldScan {
+        found: bool,
+        /// Body spans of the lambdas walked so far: their yields belong
+        /// to the lambda. Lambda nodes are visited before their bodies.
+        lambda_bodies: Vec<Span>,
+    }
+    impl Visitor for YieldScan {
+        fn visit_expr(&mut self, expr: &Expr) {
+            let start = expr.meta.span.start.offset;
+            if self
+                .lambda_bodies
+                .iter()
+                .any(|b| b.start.offset <= start && start < b.end.offset)
+            {
+                return;
+            }
+            match &expr.kind {
+                ExprKind::Lambda { body, .. } => self.lambda_bodies.push(body.meta.span),
+                ExprKind::Yield(_) | ExprKind::YieldFrom(_) => self.found = true,
+                _ => {}
+            }
         }
-        StmtKind::Assign { value, .. } => {
-            matches!(value.kind, ExprKind::Yield(_) | ExprKind::YieldFrom(_))
+        fn enter_scopes(&self) -> bool {
+            false
         }
-        StmtKind::If { body, orelse, .. }
-        | StmtKind::While { body, orelse, .. }
-        | StmtKind::For { body, orelse, .. } => body_yields(body) || body_yields(orelse),
-        StmtKind::With { body, .. } => body_yields(body),
-        StmtKind::Try {
-            body,
-            handlers,
-            orelse,
-            finalbody,
-        } => {
-            body_yields(body)
-                || handlers.iter().any(|h| body_yields(&h.body))
-                || body_yields(orelse)
-                || body_yields(finalbody)
-        }
-        _ => false,
-    })
+    }
+    let mut scan = YieldScan {
+        found: false,
+        lambda_bodies: Vec::new(),
+    };
+    for stmt in stmts {
+        walk_stmt(&mut scan, stmt);
+    }
+    scan.found
 }

@@ -95,7 +95,6 @@ fn collect(body: &[Stmt], table: &SymbolTable, hierarchy: &mut TypeHierarchy, en
                         env.functions.insert(sym.id, sig);
                     }
                 }
-                collect(&f.body, table, hierarchy, env);
             }
             StmtKind::ClassDef(c) => {
                 let bases: Vec<String> = c.bases.iter().filter_map(Expr::annotation_text).collect();
@@ -109,29 +108,11 @@ fn collect(body: &[Stmt], table: &SymbolTable, hierarchy: &mut TypeHierarchy, en
                         }
                     }
                 }
-                collect(&c.body, table, hierarchy, env);
-            }
-            StmtKind::If { body, orelse, .. }
-            | StmtKind::While { body, orelse, .. }
-            | StmtKind::For { body, orelse, .. } => {
-                collect(body, table, hierarchy, env);
-                collect(orelse, table, hierarchy, env);
-            }
-            StmtKind::With { body, .. } => collect(body, table, hierarchy, env),
-            StmtKind::Try {
-                body,
-                handlers,
-                orelse,
-                finalbody,
-            } => {
-                collect(body, table, hierarchy, env);
-                for h in handlers {
-                    collect(&h.body, table, hierarchy, env);
-                }
-                collect(orelse, table, hierarchy, env);
-                collect(finalbody, table, hierarchy, env);
             }
             _ => {}
+        }
+        for block in stmt.blocks() {
+            collect(block, table, hierarchy, env);
         }
     }
 }

@@ -69,42 +69,17 @@ impl<'a> Inferencer<'a> {
                         }
                     }
                 }
-                StmtKind::For {
-                    target,
-                    iter,
-                    body,
-                    orelse,
-                    ..
-                } => {
+                StmtKind::For { target, iter, .. } => {
                     if let Some(it) = self.infer(iter) {
                         if let Some(elem) = element_of(&it) {
                             self.bind_target(target, &elem, out);
                         }
                     }
-                    self.collect_assignments(body, out);
-                    self.collect_assignments(orelse, out);
-                }
-                StmtKind::FunctionDef(f) => self.collect_assignments(&f.body, out),
-                StmtKind::ClassDef(c) => self.collect_assignments(&c.body, out),
-                StmtKind::If { body, orelse, .. } | StmtKind::While { body, orelse, .. } => {
-                    self.collect_assignments(body, out);
-                    self.collect_assignments(orelse, out);
-                }
-                StmtKind::With { body, .. } => self.collect_assignments(body, out),
-                StmtKind::Try {
-                    body,
-                    handlers,
-                    orelse,
-                    finalbody,
-                } => {
-                    self.collect_assignments(body, out);
-                    for h in handlers {
-                        self.collect_assignments(&h.body, out);
-                    }
-                    self.collect_assignments(orelse, out);
-                    self.collect_assignments(finalbody, out);
                 }
                 _ => {}
+            }
+            for block in stmt.blocks() {
+                self.collect_assignments(block, out);
             }
         }
     }

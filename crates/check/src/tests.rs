@@ -82,6 +82,47 @@ fn missing_return_detected() {
     assert!(check_mypy("def h() -> None:\n    pass\n").is_empty());
 }
 
+fn reports_missing_return(src: &str) -> bool {
+    codes(&check_mypy(src)).contains(&IssueCode::MissingReturn)
+}
+
+#[test]
+fn generator_yielding_into_an_annotated_assignment_is_exempt() {
+    assert!(!reports_missing_return(
+        "def g() -> int:\n    y: int = yield\n"
+    ));
+}
+
+#[test]
+fn generator_yielding_into_an_aug_assignment_is_exempt() {
+    assert!(!reports_missing_return(
+        "def g() -> int:\n    total = 0\n    total += yield\n"
+    ));
+}
+
+#[test]
+fn generator_yielding_inside_a_call_is_exempt() {
+    assert!(!reports_missing_return("def g() -> int:\n    f((yield))\n"));
+}
+
+#[test]
+fn nested_yields_do_not_exempt_the_outer_function() {
+    let src = "\
+def f(x=(lambda y=(lambda: (yield)): (yield))) -> int:
+    def inner():
+        yield 1
+    class C:
+        def m(self):
+            yield 2
+    h = lambda: (yield)
+";
+    assert!(reports_missing_return(src));
+    // A yield in a nested def's default is evaluated in `f` itself.
+    assert!(!reports_missing_return(
+        "def f() -> int:\n    def inner(x=(yield)):\n        pass\n"
+    ));
+}
+
 #[test]
 fn bad_argument_detected() {
     let src = "\

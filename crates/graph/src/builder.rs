@@ -7,11 +7,11 @@
 
 use crate::dataflow::may_use_edges;
 use crate::edge::{Edge, EdgeLabel, EdgeSet};
-use crate::shape::{expr_children, expr_label, stmt_children, stmt_label, ChildRef};
+use crate::shape::{expr_label, stmt_label};
 use crate::subtoken::subtokens;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
-use typilus_pyast::ast::{Expr, ExprKind, NodeId, Stmt, StmtKind};
+use std::collections::HashMap;
+use typilus_pyast::ast::{ChildRef, Expr, ExprKind, NodeId, Stmt, StmtKind};
 use typilus_pyast::symtable::{SymbolId, SymbolKind, SymbolTable};
 use typilus_pyast::{Parsed, Span, TokenKind};
 
@@ -130,8 +130,9 @@ struct Builder<'a> {
     symbol_nodes: HashMap<SymbolId, u32>,
     /// Spans of erased annotation expressions.
     erased_spans: Vec<Span>,
-    /// Node ids of erased annotation expressions.
-    erased_nodes: HashSet<NodeId>,
+    /// Spans of the children built so far, one run per open level of
+    /// `build_ast` (a stack shared by the recursion).
+    child_spans: Vec<Span>,
     /// Included token indices in order.
     included_tokens: Vec<usize>,
     /// Sorted start offsets of included tokens (parallel to included_tokens).
@@ -151,7 +152,7 @@ impl<'a> Builder<'a> {
             vocab_nodes: HashMap::new(),
             symbol_nodes: HashMap::new(),
             erased_spans: Vec::new(),
-            erased_nodes: HashSet::new(),
+            child_spans: Vec::new(),
             included_tokens: Vec::new(),
             token_offsets: Vec::new(),
         }
@@ -176,78 +177,38 @@ impl<'a> Builder<'a> {
         let parsed = self.parsed;
         self.graph.file = file.to_string();
         if self.config.erase_annotations {
-            self.collect_erased();
+            self.collect_erased(&parsed.module.body);
         }
         self.build_token_nodes();
         // Module root node.
         let root = self.add_node(NodeKind::NonTerminal, "module");
-        let body: Vec<ChildRef<'a>> = parsed.module.body.iter().map(ChildRef::Stmt).collect();
-        for child in &body {
-            let c = self.build_ast(*child);
-            self.add_edge(root, c, EdgeLabel::Child);
+        for stmt in &parsed.module.body {
+            self.build_child(root, ChildRef::Stmt(stmt));
         }
-        self.attach_tokens(root, parsed.module.meta.span, &body);
+        self.attach_tokens(root, parsed.module.meta.span, 0);
         self.build_symbol_nodes();
         self.build_use_edges();
         self.build_returns_to();
-        self.build_assigned_from_stmts(&parsed.module.body);
+        for stmt in &parsed.module.body {
+            self.build_assigned_from(stmt);
+        }
         self.collect_targets();
         self.graph
     }
 
-    /// Records annotation spans and node ids so they are skipped.
-    fn collect_erased(&mut self) {
-        fn visit(stmts: &[Stmt], spans: &mut Vec<Span>, ids: &mut HashSet<NodeId>) {
-            fn mark(e: &Expr, spans: &mut Vec<Span>, ids: &mut HashSet<NodeId>) {
-                spans.push(e.meta.span);
-                ids.insert(e.meta.id);
-            }
-            for stmt in stmts {
-                match &stmt.kind {
-                    StmtKind::FunctionDef(f) => {
-                        for p in &f.params {
-                            if let Some(a) = &p.annotation {
-                                mark(a, spans, ids);
-                            }
-                        }
-                        if let Some(r) = &f.returns {
-                            mark(r, spans, ids);
-                        }
-                        visit(&f.body, spans, ids);
-                    }
-                    StmtKind::ClassDef(c) => visit(&c.body, spans, ids),
-                    StmtKind::AnnAssign { annotation, .. } => {
-                        mark(annotation, spans, ids);
-                    }
-                    StmtKind::If { body, orelse, .. }
-                    | StmtKind::While { body, orelse, .. }
-                    | StmtKind::For { body, orelse, .. } => {
-                        visit(body, spans, ids);
-                        visit(orelse, spans, ids);
-                    }
-                    StmtKind::With { body, .. } => visit(body, spans, ids),
-                    StmtKind::Try {
-                        body,
-                        handlers,
-                        orelse,
-                        finalbody,
-                    } => {
-                        visit(body, spans, ids);
-                        for h in handlers {
-                            visit(&h.body, spans, ids);
-                        }
-                        visit(orelse, spans, ids);
-                        visit(finalbody, spans, ids);
-                    }
-                    _ => {}
+    /// Records the spans of all annotation children so that the token
+    /// pass skips their tokens.
+    fn collect_erased(&mut self, stmts: &[Stmt]) {
+        for stmt in stmts {
+            stmt.for_each_child(|child| {
+                if let ChildRef::Annotation(a) = child {
+                    self.erased_spans.push(a.meta.span);
                 }
+            });
+            for block in stmt.blocks() {
+                self.collect_erased(block);
             }
         }
-        let mut spans = Vec::new();
-        let mut ids = HashSet::new();
-        visit(&self.parsed.module.body, &mut spans, &mut ids);
-        self.erased_spans = spans;
-        self.erased_nodes = ids;
     }
 
     fn is_erased_offset(&self, offset: usize) -> bool {
@@ -297,42 +258,49 @@ impl<'a> Builder<'a> {
     }
 
     /// Builds the non-terminal node for one AST element and recurses.
+    /// Erased annotation children get no node.
     fn build_ast(&mut self, child: ChildRef<'_>) -> u32 {
-        let (label, id, span, kids) = match child {
-            ChildRef::Stmt(s) => (
-                stmt_label(s),
-                s.meta.id,
-                s.meta.span,
-                stmt_children(s, self.config.erase_annotations),
-            ),
-            ChildRef::Expr(e) => (expr_label(e), e.meta.id, e.meta.span, expr_children(e)),
+        let (label, meta) = match child {
+            ChildRef::Stmt(s) => (stmt_label(s), s.meta),
+            ChildRef::Expr(e) | ChildRef::Annotation(e) => (expr_label(e), e.meta),
         };
         let node = self.add_node(NodeKind::NonTerminal, label);
-        self.ast_nodes.insert(id, node);
-        let mut kept = Vec::new();
-        for k in kids {
-            if self.erased_nodes.contains(&k.node_id()) {
-                continue;
+        self.ast_nodes.insert(meta.id, node);
+        let first_child = self.child_spans.len();
+        let erase = self.config.erase_annotations;
+        match child {
+            ChildRef::Stmt(s) => s.for_each_child(|k| {
+                if !(erase && matches!(k, ChildRef::Annotation(_))) {
+                    self.build_child(node, k);
+                }
+            }),
+            ChildRef::Expr(e) | ChildRef::Annotation(e) => {
+                e.for_each_child(|k| self.build_child(node, ChildRef::Expr(k)));
             }
-            let c = self.build_ast(k);
-            self.add_edge(node, c, EdgeLabel::Child);
-            kept.push(k);
         }
-        self.attach_tokens(node, span, &kept);
+        self.attach_tokens(node, meta.span, first_child);
         node
     }
 
+    /// Builds `child` under `parent` and records its span for the
+    /// parent's `attach_tokens`.
+    fn build_child(&mut self, parent: u32, child: ChildRef<'_>) {
+        let c = self.build_ast(child);
+        self.add_edge(parent, c, EdgeLabel::Child);
+        self.child_spans.push(child.span());
+    }
+
     /// CHILD edges from a syntax node to the tokens in its span that are
-    /// not covered by any of its children.
-    fn attach_tokens(&mut self, node: u32, span: Span, children: &[ChildRef<'_>]) {
+    /// not covered by any of its children, whose spans are
+    /// `child_spans[first_child..]`; pops those spans.
+    fn attach_tokens(&mut self, node: u32, span: Span, first_child: usize) {
         let lo = self
             .token_offsets
             .partition_point(|&o| o < span.start.offset);
         let hi = self.token_offsets.partition_point(|&o| o < span.end.offset);
-        let child_spans: Vec<Span> = children.iter().map(|c| c.span()).collect();
         for i in lo..hi {
             let off = self.token_offsets[i];
-            if child_spans
+            if self.child_spans[first_child..]
                 .iter()
                 .any(|s| off >= s.start.offset && off < s.end.offset)
             {
@@ -343,6 +311,7 @@ impl<'a> Builder<'a> {
                 self.add_edge(node, t, EdgeLabel::Child);
             }
         }
+        self.child_spans.truncate(first_child);
     }
 
     fn build_symbol_nodes(&mut self) {
@@ -362,15 +331,26 @@ impl<'a> Builder<'a> {
                 }
             }
         }
-        // Return symbols: connect the function-def syntax node.
         let parsed = self.parsed;
-        for stmt in collect_function_defs(&parsed.module.body) {
-            if let Some(ret) = self.table.return_symbol(stmt) {
-                if let (Some(&f), Some(&s)) =
-                    (self.ast_nodes.get(&stmt), self.symbol_nodes.get(&ret.id))
-                {
-                    self.add_edge(f, s, EdgeLabel::OccurrenceOf);
+        self.link_return_symbols(&parsed.module.body);
+    }
+
+    /// OCCURRENCE_OF from each function-def syntax node, at any nesting
+    /// depth, to its return symbol.
+    fn link_return_symbols(&mut self, stmts: &[Stmt]) {
+        for stmt in stmts {
+            if let StmtKind::FunctionDef(_) = stmt.kind {
+                if let Some(ret) = self.table.return_symbol(stmt.meta.id) {
+                    if let (Some(&f), Some(&s)) = (
+                        self.ast_nodes.get(&stmt.meta.id),
+                        self.symbol_nodes.get(&ret.id),
+                    ) {
+                        self.add_edge(f, s, EdgeLabel::OccurrenceOf);
+                    }
                 }
+            }
+            for block in stmt.blocks() {
+                self.link_return_symbols(block);
             }
         }
     }
@@ -412,58 +392,32 @@ impl<'a> Builder<'a> {
     }
 
     fn build_returns_to(&mut self) {
-        // Walk function bodies; connect return/yield statements to the
-        // function definition node.
+        // Walk function bodies; connect return statements and
+        // statement-level yields to the function definition node.
         fn walk(builder: &mut Builder<'_>, stmts: &[Stmt], current_func: Option<NodeId>) {
             for stmt in stmts {
-                match &stmt.kind {
-                    StmtKind::FunctionDef(f) => {
-                        walk(builder, &f.body, Some(stmt.meta.id));
-                    }
-                    StmtKind::ClassDef(c) => walk(builder, &c.body, current_func),
-                    StmtKind::Return(_) => {
-                        if let Some(func) = current_func {
-                            if let (Some(&r), Some(&f)) = (
-                                builder.ast_nodes.get(&stmt.meta.id),
-                                builder.ast_nodes.get(&func),
-                            ) {
-                                builder.add_edge(r, f, EdgeLabel::ReturnsTo);
-                            }
-                        }
-                    }
+                let exit = match &stmt.kind {
+                    StmtKind::Return(_) => Some(stmt.meta.id),
                     StmtKind::Expr(e)
                         if matches!(e.kind, ExprKind::Yield(_) | ExprKind::YieldFrom(_)) =>
                     {
-                        if let Some(func) = current_func {
-                            if let (Some(&y), Some(&f)) = (
-                                builder.ast_nodes.get(&e.meta.id),
-                                builder.ast_nodes.get(&func),
-                            ) {
-                                builder.add_edge(y, f, EdgeLabel::ReturnsTo);
-                            }
-                        }
+                        Some(e.meta.id)
                     }
-                    StmtKind::If { body, orelse, .. }
-                    | StmtKind::While { body, orelse, .. }
-                    | StmtKind::For { body, orelse, .. } => {
-                        walk(builder, body, current_func);
-                        walk(builder, orelse, current_func);
+                    _ => None,
+                };
+                if let (Some(exit), Some(func)) = (exit, current_func) {
+                    if let (Some(&r), Some(&f)) =
+                        (builder.ast_nodes.get(&exit), builder.ast_nodes.get(&func))
+                    {
+                        builder.add_edge(r, f, EdgeLabel::ReturnsTo);
                     }
-                    StmtKind::With { body, .. } => walk(builder, body, current_func),
-                    StmtKind::Try {
-                        body,
-                        handlers,
-                        orelse,
-                        finalbody,
-                    } => {
-                        walk(builder, body, current_func);
-                        for h in handlers {
-                            walk(builder, &h.body, current_func);
-                        }
-                        walk(builder, orelse, current_func);
-                        walk(builder, finalbody, current_func);
-                    }
-                    _ => {}
+                }
+                let func = match stmt.kind {
+                    StmtKind::FunctionDef(_) => Some(stmt.meta.id),
+                    _ => current_func,
+                };
+                for block in stmt.blocks() {
+                    walk(builder, block, func);
                 }
             }
         }
@@ -471,35 +425,33 @@ impl<'a> Builder<'a> {
         walk(self, &parsed.module.body, None);
     }
 
-    fn build_assigned_from_stmts(&mut self, stmts: &[Stmt]) {
-        for stmt in stmts {
-            match &stmt.kind {
-                StmtKind::Assign { targets, value } => {
-                    for t in targets {
-                        self.assigned_from(value, t);
-                    }
-                }
-                StmtKind::AnnAssign {
-                    target,
-                    value: Some(v),
-                    ..
-                } => {
-                    self.assigned_from(v, target);
-                }
-                StmtKind::AugAssign { target, value, .. } => {
-                    self.assigned_from(value, target);
-                }
-                _ => {}
-            }
-            // Recurse uniformly; walrus assignments can occur in any
-            // expression position (if tests, call arguments, ...).
-            for child in stmt_children(stmt, self.config.erase_annotations) {
-                match child {
-                    ChildRef::Expr(e) => self.build_assigned_from_exprs(e),
-                    ChildRef::Stmt(s) => self.build_assigned_from_stmts(std::slice::from_ref(s)),
+    fn build_assigned_from(&mut self, stmt: &Stmt) {
+        match &stmt.kind {
+            StmtKind::Assign { targets, value } => {
+                for t in targets {
+                    self.assigned_from(value, t);
                 }
             }
+            StmtKind::AnnAssign {
+                target,
+                value: Some(v),
+                ..
+            } => {
+                self.assigned_from(v, target);
+            }
+            StmtKind::AugAssign { target, value, .. } => {
+                self.assigned_from(value, target);
+            }
+            _ => {}
         }
+        // Recurse uniformly; walrus assignments can occur in any
+        // expression position (if tests, call arguments, ...).
+        let erase = self.config.erase_annotations;
+        stmt.for_each_child(|child| match child {
+            ChildRef::Stmt(s) => self.build_assigned_from(s),
+            ChildRef::Annotation(_) if erase => {}
+            ChildRef::Expr(e) | ChildRef::Annotation(e) => self.build_assigned_from_exprs(e),
+        });
     }
 
     /// Walrus expressions also carry ASSIGNED_FROM edges.
@@ -507,11 +459,7 @@ impl<'a> Builder<'a> {
         if let ExprKind::Walrus { target, value } = &expr.kind {
             self.assigned_from(value, target);
         }
-        for child in expr_children(expr) {
-            if let ChildRef::Expr(e) = child {
-                self.build_assigned_from_exprs(e);
-            }
-        }
+        expr.for_each_child(|e| self.build_assigned_from_exprs(e));
     }
 
     fn assigned_from(&mut self, value: &Expr, target: &Expr) {
@@ -539,43 +487,4 @@ impl<'a> Builder<'a> {
             }
         }
     }
-}
-
-/// Node ids of all function definitions, at any nesting depth.
-fn collect_function_defs(stmts: &[Stmt]) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    fn walk(stmts: &[Stmt], out: &mut Vec<NodeId>) {
-        for stmt in stmts {
-            match &stmt.kind {
-                StmtKind::FunctionDef(f) => {
-                    out.push(stmt.meta.id);
-                    walk(&f.body, out);
-                }
-                StmtKind::ClassDef(c) => walk(&c.body, out),
-                StmtKind::If { body, orelse, .. }
-                | StmtKind::While { body, orelse, .. }
-                | StmtKind::For { body, orelse, .. } => {
-                    walk(body, out);
-                    walk(orelse, out);
-                }
-                StmtKind::With { body, .. } => walk(body, out),
-                StmtKind::Try {
-                    body,
-                    handlers,
-                    orelse,
-                    finalbody,
-                } => {
-                    walk(body, out);
-                    for h in handlers {
-                        walk(&h.body, out);
-                    }
-                    walk(orelse, out);
-                    walk(finalbody, out);
-                }
-                _ => {}
-            }
-        }
-    }
-    walk(stmts, &mut out);
-    out
 }

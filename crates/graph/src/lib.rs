@@ -7,6 +7,12 @@
 //! erased so models predict rather than read them. Edge-set filters
 //! support the Table 4 ablations.
 //!
+//! The builder walks the AST through `typilus_pyast`'s one child
+//! enumeration (`Stmt::for_each_child`, `Stmt::blocks`): CHILD edges, and
+//! so node ids, follow its source order, and annotation children are
+//! dropped when annotations are erased. [`shape`] only names the
+//! non-terminals.
+//!
 //! ```
 //! use typilus_graph::{build_graph, GraphConfig};
 //! use typilus_pyast::{parse, SymbolTable};

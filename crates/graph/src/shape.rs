@@ -1,38 +1,11 @@
-//! Generic, ordered child enumeration for AST nodes.
+//! Non-terminal labels of AST nodes.
 //!
-//! The graph builder walks the AST without matching on every variant at
-//! every site: [`stmt_children`] / [`expr_children`] return the direct
-//! children of a node in source order, and [`stmt_label`] /
-//! [`expr_label`] name the non-terminal for the node's initial embedding.
+//! [`stmt_label`] / [`expr_label`] name the non-terminal that seeds a
+//! syntax node's initial embedding. Which children a node has, and in
+//! what order, is not decided here: the builder follows the one child
+//! enumeration of `typilus_pyast` ([`Stmt::for_each_child`]).
 
 use typilus_pyast::ast::{Expr, ExprKind, Stmt, StmtKind};
-
-/// A reference to a direct AST child.
-#[derive(Debug, Clone, Copy)]
-pub enum ChildRef<'a> {
-    /// A child statement.
-    Stmt(&'a Stmt),
-    /// A child expression.
-    Expr(&'a Expr),
-}
-
-impl ChildRef<'_> {
-    /// The child's source span.
-    pub fn span(&self) -> typilus_pyast::Span {
-        match self {
-            ChildRef::Stmt(s) => s.meta.span,
-            ChildRef::Expr(e) => e.meta.span,
-        }
-    }
-
-    /// The child's AST node id.
-    pub fn node_id(&self) -> typilus_pyast::NodeId {
-        match self {
-            ChildRef::Stmt(s) => s.meta.id,
-            ChildRef::Expr(e) => e.meta.id,
-        }
-    }
-}
 
 /// The non-terminal label of a statement, used as node text in the graph.
 pub fn stmt_label(stmt: &Stmt) -> String {
@@ -148,251 +121,10 @@ pub fn expr_label(expr: &Expr) -> String {
     }
 }
 
-/// Direct children of a statement in source order.
-///
-/// `skip_annotations` omits annotation expressions (used when graphs are
-/// built from annotation-erased code).
-pub fn stmt_children(stmt: &Stmt, skip_annotations: bool) -> Vec<ChildRef<'_>> {
-    let mut out = Vec::new();
-    match &stmt.kind {
-        StmtKind::FunctionDef(f) => {
-            for d in &f.decorators {
-                out.push(ChildRef::Expr(d));
-            }
-            for p in &f.params {
-                if !skip_annotations {
-                    if let Some(a) = &p.annotation {
-                        out.push(ChildRef::Expr(a));
-                    }
-                }
-                if let Some(d) = &p.default {
-                    out.push(ChildRef::Expr(d));
-                }
-            }
-            if !skip_annotations {
-                if let Some(r) = &f.returns {
-                    out.push(ChildRef::Expr(r));
-                }
-            }
-            out.extend(f.body.iter().map(ChildRef::Stmt));
-        }
-        StmtKind::ClassDef(c) => {
-            for d in &c.decorators {
-                out.push(ChildRef::Expr(d));
-            }
-            for b in &c.bases {
-                out.push(ChildRef::Expr(b));
-            }
-            for k in &c.keywords {
-                out.push(ChildRef::Expr(&k.value));
-            }
-            out.extend(c.body.iter().map(ChildRef::Stmt));
-        }
-        StmtKind::Return(v) => {
-            if let Some(e) = v {
-                out.push(ChildRef::Expr(e));
-            }
-        }
-        StmtKind::Assign { targets, value } => {
-            out.extend(targets.iter().map(ChildRef::Expr));
-            out.push(ChildRef::Expr(value));
-        }
-        StmtKind::AugAssign { target, value, .. } => {
-            out.push(ChildRef::Expr(target));
-            out.push(ChildRef::Expr(value));
-        }
-        StmtKind::AnnAssign {
-            target,
-            annotation,
-            value,
-        } => {
-            out.push(ChildRef::Expr(target));
-            if !skip_annotations {
-                out.push(ChildRef::Expr(annotation));
-            }
-            if let Some(v) = value {
-                out.push(ChildRef::Expr(v));
-            }
-        }
-        StmtKind::For {
-            target,
-            iter,
-            body,
-            orelse,
-            ..
-        } => {
-            out.push(ChildRef::Expr(target));
-            out.push(ChildRef::Expr(iter));
-            out.extend(body.iter().map(ChildRef::Stmt));
-            out.extend(orelse.iter().map(ChildRef::Stmt));
-        }
-        StmtKind::While { test, body, orelse } | StmtKind::If { test, body, orelse } => {
-            out.push(ChildRef::Expr(test));
-            out.extend(body.iter().map(ChildRef::Stmt));
-            out.extend(orelse.iter().map(ChildRef::Stmt));
-        }
-        StmtKind::With { items, body } => {
-            for item in items {
-                out.push(ChildRef::Expr(&item.context));
-                if let Some(t) = &item.target {
-                    out.push(ChildRef::Expr(t));
-                }
-            }
-            out.extend(body.iter().map(ChildRef::Stmt));
-        }
-        StmtKind::Raise { exc, cause } => {
-            for e in [exc, cause].into_iter().flatten() {
-                out.push(ChildRef::Expr(e));
-            }
-        }
-        StmtKind::Try {
-            body,
-            handlers,
-            orelse,
-            finalbody,
-        } => {
-            out.extend(body.iter().map(ChildRef::Stmt));
-            for h in handlers {
-                if let Some(e) = &h.exc_type {
-                    out.push(ChildRef::Expr(e));
-                }
-                out.extend(h.body.iter().map(ChildRef::Stmt));
-            }
-            out.extend(orelse.iter().map(ChildRef::Stmt));
-            out.extend(finalbody.iter().map(ChildRef::Stmt));
-        }
-        StmtKind::Assert { test, msg } => {
-            out.push(ChildRef::Expr(test));
-            if let Some(m) = msg {
-                out.push(ChildRef::Expr(m));
-            }
-        }
-        StmtKind::Expr(e) => out.push(ChildRef::Expr(e)),
-        StmtKind::Delete(targets) => out.extend(targets.iter().map(ChildRef::Expr)),
-        StmtKind::Import(_)
-        | StmtKind::ImportFrom { .. }
-        | StmtKind::Global(_)
-        | StmtKind::Nonlocal(_)
-        | StmtKind::Pass
-        | StmtKind::Break
-        | StmtKind::Continue => {}
-    }
-    out
-}
-
-/// Direct children of an expression in source order.
-pub fn expr_children(expr: &Expr) -> Vec<ChildRef<'_>> {
-    let mut out = Vec::new();
-    match &expr.kind {
-        ExprKind::Name(_)
-        | ExprKind::Num(_)
-        | ExprKind::Str(_)
-        | ExprKind::FString(_)
-        | ExprKind::Bool(_)
-        | ExprKind::NoneLit
-        | ExprKind::EllipsisLit => {}
-        ExprKind::Tuple(items) | ExprKind::List(items) | ExprKind::Set(items) => {
-            out.extend(items.iter().map(ChildRef::Expr));
-        }
-        ExprKind::Dict { keys, values } => {
-            // Interleave key/value in source order.
-            for (k, v) in keys.iter().zip(values) {
-                if let Some(k) = k {
-                    out.push(ChildRef::Expr(k));
-                }
-                out.push(ChildRef::Expr(v));
-            }
-        }
-        ExprKind::BinOp { left, right, .. } => {
-            out.push(ChildRef::Expr(left));
-            out.push(ChildRef::Expr(right));
-        }
-        ExprKind::UnaryOp { operand, .. } => out.push(ChildRef::Expr(operand)),
-        ExprKind::BoolOp { values, .. } => out.extend(values.iter().map(ChildRef::Expr)),
-        ExprKind::Compare {
-            left, comparators, ..
-        } => {
-            out.push(ChildRef::Expr(left));
-            out.extend(comparators.iter().map(ChildRef::Expr));
-        }
-        ExprKind::Call {
-            func,
-            args,
-            keywords,
-        } => {
-            out.push(ChildRef::Expr(func));
-            out.extend(args.iter().map(ChildRef::Expr));
-            out.extend(keywords.iter().map(|k| ChildRef::Expr(&k.value)));
-        }
-        ExprKind::Attribute { value, .. } => out.push(ChildRef::Expr(value)),
-        ExprKind::Subscript { value, index } => {
-            out.push(ChildRef::Expr(value));
-            out.push(ChildRef::Expr(index));
-        }
-        ExprKind::Slice { lower, upper, step } => {
-            for e in [lower, upper, step].into_iter().flatten() {
-                out.push(ChildRef::Expr(e));
-            }
-        }
-        ExprKind::Lambda { params, body } => {
-            for p in params {
-                if let Some(d) = &p.default {
-                    out.push(ChildRef::Expr(d));
-                }
-            }
-            out.push(ChildRef::Expr(body));
-        }
-        ExprKind::IfExp { test, body, orelse } => {
-            out.push(ChildRef::Expr(body));
-            out.push(ChildRef::Expr(test));
-            out.push(ChildRef::Expr(orelse));
-        }
-        ExprKind::Starred(inner) => out.push(ChildRef::Expr(inner)),
-        ExprKind::Comprehension {
-            element,
-            value,
-            clauses,
-            ..
-        } => {
-            out.push(ChildRef::Expr(element));
-            if let Some(v) = value {
-                out.push(ChildRef::Expr(v));
-            }
-            for c in clauses {
-                out.push(ChildRef::Expr(&c.target));
-                out.push(ChildRef::Expr(&c.iter));
-                out.extend(c.ifs.iter().map(ChildRef::Expr));
-            }
-        }
-        ExprKind::Yield(v) => {
-            if let Some(e) = v {
-                out.push(ChildRef::Expr(e));
-            }
-        }
-        ExprKind::YieldFrom(e) | ExprKind::Await(e) => out.push(ChildRef::Expr(e)),
-        ExprKind::Walrus { target, value } => {
-            out.push(ChildRef::Expr(target));
-            out.push(ChildRef::Expr(value));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use typilus_pyast::parse;
-
-    #[test]
-    fn function_children_skip_annotations_when_asked() {
-        let parsed = parse("def f(a: int, b=2) -> str:\n    return a\n").unwrap();
-        let stmt = &parsed.module.body[0];
-        let with_ann = stmt_children(stmt, false);
-        let without_ann = stmt_children(stmt, true);
-        // annotation(a) + default(b) + returns + body vs default(b) + body.
-        assert_eq!(with_ann.len(), 4);
-        assert_eq!(without_ann.len(), 2);
-    }
 
     #[test]
     fn labels_distinguish_operators() {
@@ -407,17 +139,5 @@ mod tests {
             })
             .collect();
         assert_eq!(exprs, vec!["binop_add", "binop_mul"]);
-    }
-
-    #[test]
-    fn children_cover_call_parts() {
-        let parsed = parse("r = f(x, key=y)\n").unwrap();
-        match &parsed.module.body[0].kind {
-            typilus_pyast::StmtKind::Assign { value, .. } => {
-                let kids = expr_children(value);
-                assert_eq!(kids.len(), 3); // func, x, y
-            }
-            other => panic!("expected assign, got {other:?}"),
-        }
     }
 }

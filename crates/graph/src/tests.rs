@@ -301,3 +301,142 @@ class Api:
     assert!(g.targets.iter().any(|t| t.name == "host"));
     assert_eq!(g.edges_with(EdgeLabel::ReturnsTo).count(), 2);
 }
+
+/// One fixture with every `StmtKind` and `ExprKind` of the AST: the
+/// golden test below pins the whole graph built from it.
+const EVERY_KIND: &str = "\
+import os.path as osp, sys
+from typing import List, Optional
+from . import sibling
+
+@register(1)
+class Box(Base, metaclass=Meta):
+    size: int = 0
+    def __init__(self, items: List[int], *args, scale: float = 1.0, **kw) -> None:
+        self.items = items
+        self.scale = scale
+
+async def fetch(url: str) -> Optional[str]:
+    data = await get(url)
+    async for chunk in stream(url):
+        pass
+    return data
+
+def gen(n: int = 3):
+    total: int = yield
+    total += yield n
+    yield from range(n)
+    counter = 0
+    def inner():
+        nonlocal counter
+        counter += 1
+    global CONFIG
+    for i, x in enumerate([1, 2.5, -3]):
+        if i > 0 and not x or i is None:
+            continue
+        elif x in {1, 2}:
+            break
+        else:
+            pass
+    else:
+        counter = None
+    while counter < 10:
+        counter = counter + 1 if counter else ~counter
+    with open(f\"{n}.txt\") as fh, lock:
+        lines = fh.read()[1:-1:2]
+    try:
+        value = {\"a\": 1, **extra}
+    except (KeyError, ValueError) as err:
+        raise RuntimeError(\"bad\") from err
+    except Exception:
+        raise
+    else:
+        assert value, \"empty\"
+    finally:
+        del value
+    squares = [k * k for k in range(n) if k % 2]
+    evens = {k for k in range(n)}
+    table = {k: v for k, v in zip(a, b) if k if v}
+    lazy = (k for k in range(n))
+    f = lambda a, b=2: a ** b
+    if (m := len(lines)) > 3:
+        print(*lines, sep='', end=...)
+    flag = True or False
+    return m
+";
+
+/// FNV-1a over the `(label, src, dst)` sequence of a graph's edges.
+fn edge_digest(g: &ProgramGraph) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for e in &g.edges {
+        let mut bytes = [0u8; 9];
+        bytes[0] = e.label.as_index() as u8;
+        bytes[1..5].copy_from_slice(&e.src.to_le_bytes());
+        bytes[5..].copy_from_slice(&e.dst.to_le_bytes());
+        for b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn label_counts(g: &ProgramGraph) -> [usize; EdgeLabel::COUNT] {
+    let mut counts = [0; EdgeLabel::COUNT];
+    for e in &g.edges {
+        counts[e.label.as_index()] += 1;
+    }
+    counts
+}
+
+#[test]
+fn every_kind_fixture_covers_the_ast() {
+    let config = GraphConfig {
+        erase_annotations: false,
+        ..GraphConfig::default()
+    };
+    let g = graph_with(EVERY_KIND, &config);
+    let nts = labels_of(&g, NodeKind::NonTerminal);
+    let every_label = "\
+        function_def async_function_def class_def return_stmt assign \
+        aug_assign_add ann_assign for_stmt while_stmt if_stmt with_stmt \
+        raise_stmt try_stmt assert_stmt import_stmt import_from global_stmt \
+        nonlocal_stmt expr_stmt pass_stmt break_stmt continue_stmt \
+        delete_stmt name number string bool_literal none_literal \
+        ellipsis_literal tuple_expr list_expr set_expr dict_expr binop_mul \
+        unary_neg bool_and compare call attribute subscript slice_expr \
+        lambda_expr if_expr starred list_comp set_comp dict_comp \
+        generator_expr yield_expr yield_from await_expr walrus";
+    for label in every_label.split_whitespace() {
+        assert!(nts.contains(&label), "fixture lacks {label}");
+    }
+}
+
+#[test]
+fn every_kind_graph_is_pinned() {
+    // CHILD order fixes every node id, so any change to the child
+    // enumeration order, or to what annotation erasure drops, shows up
+    // here.
+    for (erase, nodes, counts, digest) in [
+        (
+            true,
+            722,
+            [369, 613, 43, 48, 19, 3, 112, 120],
+            0x1de9_5f65_838c_731c,
+        ),
+        (
+            false,
+            753,
+            [385, 641, 43, 52, 19, 3, 121, 129],
+            0x4317_756b_71aa_add4,
+        ),
+    ] {
+        let config = GraphConfig {
+            erase_annotations: erase,
+            ..GraphConfig::default()
+        };
+        let g = graph_with(EVERY_KIND, &config);
+        assert_eq!(g.node_count(), nodes, "erase={erase}");
+        assert_eq!(label_counts(&g), counts, "erase={erase}");
+        assert_eq!(edge_digest(&g), digest, "erase={erase}");
+    }
+}

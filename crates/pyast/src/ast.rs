@@ -4,6 +4,14 @@
 //! [`NodeId`] (unique within one parsed [`Module`]) and a source [`Span`].
 //! The graph builder uses node identities to create non-terminal graph
 //! nodes, and spans to associate tokens with the AST nodes that own them.
+//!
+//! This module is also the one place that knows the tree's shape:
+//! [`Stmt::for_each_child`] and [`Expr::for_each_child`] enumerate a
+//! node's direct children in source order, and [`Stmt::blocks`] yields a
+//! statement's nested statement blocks. The graph's CHILD edges follow
+//! that order, so it fixes every graph node id; the visitor, the graph
+//! builder and the checker's walkers all recurse through these three
+//! functions rather than matching on every variant themselves.
 
 use crate::span::Span;
 use serde::{Deserialize, Serialize};
@@ -572,7 +580,287 @@ pub enum ExprKind {
     FString(String),
 }
 
+/// A direct child of a statement, as enumerated by
+/// [`Stmt::for_each_child`].
+#[derive(Debug, Clone, Copy)]
+pub enum ChildRef<'a> {
+    /// A nested statement (a body, handler, `else` or `finally` block).
+    Stmt(&'a Stmt),
+    /// An expression.
+    Expr(&'a Expr),
+    /// A type annotation: a parameter annotation, a `-> returns`
+    /// expression or the annotation of an `AnnAssign`. Graphs built from
+    /// annotation-erased code drop these children.
+    Annotation(&'a Expr),
+}
+
+impl ChildRef<'_> {
+    /// The child's source span.
+    pub fn span(&self) -> Span {
+        match self {
+            ChildRef::Stmt(s) => s.meta.span,
+            ChildRef::Expr(e) | ChildRef::Annotation(e) => e.meta.span,
+        }
+    }
+}
+
+impl Stmt {
+    /// Calls `f` on each direct child of the statement, in source order.
+    ///
+    /// This order is canonical: the program graph's CHILD edges follow
+    /// it. A def's children are its decorators, then per parameter its
+    /// annotation and default, then the return annotation, then the body.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(ChildRef<'a>)) {
+        let f = &mut f;
+        match &self.kind {
+            StmtKind::FunctionDef(def) => {
+                def.decorators.iter().map(ChildRef::Expr).for_each(&mut *f);
+                for p in &def.params {
+                    if let Some(a) = &p.annotation {
+                        f(ChildRef::Annotation(a));
+                    }
+                    if let Some(d) = &p.default {
+                        f(ChildRef::Expr(d));
+                    }
+                }
+                if let Some(r) = &def.returns {
+                    f(ChildRef::Annotation(r));
+                }
+                def.body.iter().map(ChildRef::Stmt).for_each(f);
+            }
+            StmtKind::ClassDef(c) => {
+                c.decorators.iter().map(ChildRef::Expr).for_each(&mut *f);
+                c.bases.iter().map(ChildRef::Expr).for_each(&mut *f);
+                c.keywords
+                    .iter()
+                    .map(|k| ChildRef::Expr(&k.value))
+                    .for_each(&mut *f);
+                c.body.iter().map(ChildRef::Stmt).for_each(f);
+            }
+            StmtKind::Return(value) => value.iter().map(ChildRef::Expr).for_each(f),
+            StmtKind::Assign { targets, value } => {
+                targets.iter().map(ChildRef::Expr).for_each(&mut *f);
+                f(ChildRef::Expr(value));
+            }
+            StmtKind::AugAssign { target, value, .. } => {
+                f(ChildRef::Expr(target));
+                f(ChildRef::Expr(value));
+            }
+            StmtKind::AnnAssign {
+                target,
+                annotation,
+                value,
+            } => {
+                f(ChildRef::Expr(target));
+                f(ChildRef::Annotation(annotation));
+                value.iter().map(ChildRef::Expr).for_each(f);
+            }
+            StmtKind::For {
+                target,
+                iter,
+                body,
+                orelse,
+                ..
+            } => {
+                f(ChildRef::Expr(target));
+                f(ChildRef::Expr(iter));
+                body.iter().chain(orelse).map(ChildRef::Stmt).for_each(f);
+            }
+            StmtKind::While { test, body, orelse } | StmtKind::If { test, body, orelse } => {
+                f(ChildRef::Expr(test));
+                body.iter().chain(orelse).map(ChildRef::Stmt).for_each(f);
+            }
+            StmtKind::With { items, body } => {
+                for item in items {
+                    f(ChildRef::Expr(&item.context));
+                    if let Some(t) = &item.target {
+                        f(ChildRef::Expr(t));
+                    }
+                }
+                body.iter().map(ChildRef::Stmt).for_each(f);
+            }
+            StmtKind::Raise { exc, cause } => {
+                exc.iter().chain(cause).map(ChildRef::Expr).for_each(f);
+            }
+            StmtKind::Try {
+                body,
+                handlers,
+                orelse,
+                finalbody,
+            } => {
+                body.iter().map(ChildRef::Stmt).for_each(&mut *f);
+                for h in handlers {
+                    if let Some(e) = &h.exc_type {
+                        f(ChildRef::Expr(e));
+                    }
+                    h.body.iter().map(ChildRef::Stmt).for_each(&mut *f);
+                }
+                orelse
+                    .iter()
+                    .chain(finalbody)
+                    .map(ChildRef::Stmt)
+                    .for_each(f);
+            }
+            StmtKind::Assert { test, msg } => {
+                f(ChildRef::Expr(test));
+                msg.iter().map(ChildRef::Expr).for_each(f);
+            }
+            StmtKind::Expr(e) => f(ChildRef::Expr(e)),
+            StmtKind::Delete(targets) => targets.iter().map(ChildRef::Expr).for_each(f),
+            StmtKind::Import(_)
+            | StmtKind::ImportFrom { .. }
+            | StmtKind::Global(_)
+            | StmtKind::Nonlocal(_)
+            | StmtKind::Pass
+            | StmtKind::Break
+            | StmtKind::Continue => {}
+        }
+    }
+
+    /// The statement's nested statement blocks in source order: the body,
+    /// each `except` handler's body, the `else` block, then `finally`.
+    /// Some blocks may be empty.
+    ///
+    /// A def's or class's body is a block too: a walker that must stay in
+    /// one scope matches `FunctionDef`/`ClassDef` before it recurses.
+    pub fn blocks(&self) -> impl Iterator<Item = &[Stmt]> {
+        let (body, handlers, orelse, finalbody): (&[Stmt], &[ExceptHandler], &[Stmt], &[Stmt]) =
+            match &self.kind {
+                StmtKind::FunctionDef(f) => (&f.body, &[], &[], &[]),
+                StmtKind::ClassDef(c) => (&c.body, &[], &[], &[]),
+                StmtKind::For { body, orelse, .. }
+                | StmtKind::While { body, orelse, .. }
+                | StmtKind::If { body, orelse, .. } => (body, &[], orelse, &[]),
+                StmtKind::With { body, .. } => (body, &[], &[], &[]),
+                StmtKind::Try {
+                    body,
+                    handlers,
+                    orelse,
+                    finalbody,
+                } => (body, handlers, orelse, finalbody),
+                StmtKind::Return(_)
+                | StmtKind::Assign { .. }
+                | StmtKind::AugAssign { .. }
+                | StmtKind::AnnAssign { .. }
+                | StmtKind::Raise { .. }
+                | StmtKind::Assert { .. }
+                | StmtKind::Import(_)
+                | StmtKind::ImportFrom { .. }
+                | StmtKind::Global(_)
+                | StmtKind::Nonlocal(_)
+                | StmtKind::Expr(_)
+                | StmtKind::Pass
+                | StmtKind::Break
+                | StmtKind::Continue
+                | StmtKind::Delete(_) => (&[], &[], &[], &[]),
+            };
+        std::iter::once(body)
+            .chain(handlers.iter().map(|h| h.body.as_slice()))
+            .chain([orelse, finalbody])
+    }
+}
+
 impl Expr {
+    /// Calls `f` on each direct child of the expression, in source order
+    /// (the canonical order of [`Stmt::for_each_child`]): a dict's keys
+    /// and values interleave, a conditional expression yields its body
+    /// before its test, and a comprehension its element (and value)
+    /// before its clauses. A lambda's children are its parameter defaults
+    /// and its body.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
+        let f = &mut f;
+        match &self.kind {
+            ExprKind::Name(_)
+            | ExprKind::Num(_)
+            | ExprKind::Str(_)
+            | ExprKind::FString(_)
+            | ExprKind::Bool(_)
+            | ExprKind::NoneLit
+            | ExprKind::EllipsisLit => {}
+            ExprKind::Tuple(items) | ExprKind::List(items) | ExprKind::Set(items) => {
+                items.iter().for_each(f);
+            }
+            ExprKind::Dict { keys, values } => {
+                for (k, v) in keys.iter().zip(values) {
+                    if let Some(k) = k {
+                        f(k);
+                    }
+                    f(v);
+                }
+            }
+            ExprKind::BinOp { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            ExprKind::UnaryOp { operand, .. } => f(operand),
+            ExprKind::BoolOp { values, .. } => values.iter().for_each(f),
+            ExprKind::Compare {
+                left, comparators, ..
+            } => {
+                f(left);
+                comparators.iter().for_each(f);
+            }
+            ExprKind::Call {
+                func,
+                args,
+                keywords,
+            } => {
+                f(func);
+                args.iter().for_each(&mut *f);
+                keywords.iter().map(|k| &k.value).for_each(f);
+            }
+            ExprKind::Attribute { value, .. } => f(value),
+            ExprKind::Subscript { value, index } => {
+                f(value);
+                f(index);
+            }
+            ExprKind::Slice { lower, upper, step } => {
+                for e in [lower, upper, step].into_iter().flatten() {
+                    f(e);
+                }
+            }
+            ExprKind::Lambda { params, body } => {
+                params
+                    .iter()
+                    .filter_map(|p| p.default.as_ref())
+                    .for_each(&mut *f);
+                f(body);
+            }
+            ExprKind::IfExp { test, body, orelse } => {
+                f(body);
+                f(test);
+                f(orelse);
+            }
+            ExprKind::Starred(inner) => f(inner),
+            ExprKind::Comprehension {
+                element,
+                value,
+                clauses,
+                ..
+            } => {
+                f(element);
+                if let Some(v) = value {
+                    f(v);
+                }
+                for c in clauses {
+                    f(&c.target);
+                    f(&c.iter);
+                    c.ifs.iter().for_each(&mut *f);
+                }
+            }
+            ExprKind::Yield(value) => {
+                if let Some(e) = value {
+                    f(e);
+                }
+            }
+            ExprKind::YieldFrom(e) | ExprKind::Await(e) => f(e),
+            ExprKind::Walrus { target, value } => {
+                f(target);
+                f(value);
+            }
+        }
+    }
+
     /// Renders an annotation-like expression back to compact source text,
     /// e.g. `Dict[str, List[int]]` or `torch.Tensor`. Used to hand
     /// annotations to the type crate without a dependency in either
@@ -706,6 +994,109 @@ mod tests {
             keywords: vec![],
         });
         assert_eq!(call.annotation_text(), None);
+    }
+
+    fn short(e: &Expr) -> String {
+        match &e.kind {
+            ExprKind::Name(n) | ExprKind::Num(n) => n.clone(),
+            other => format!("{other:?}")
+                .split([' ', '('])
+                .next()
+                .unwrap_or_default()
+                .to_string(),
+        }
+    }
+
+    /// The direct children of `value` in `r = value`.
+    fn value_children(src: &str) -> Vec<String> {
+        let parsed = crate::parse(&format!("r = {src}\n")).unwrap();
+        let StmtKind::Assign { value, .. } = &parsed.module.body[0].kind else {
+            panic!("expected assign");
+        };
+        let mut out = Vec::new();
+        value.for_each_child(|c| out.push(short(c)));
+        out
+    }
+
+    fn first_stmt_children(src: &str) -> Vec<String> {
+        let parsed = crate::parse(src).unwrap();
+        let mut out = Vec::new();
+        parsed.module.body[0].for_each_child(|c| {
+            out.push(match c {
+                ChildRef::Stmt(s) => format!("stmt {:?}", s.meta.span.start.line),
+                ChildRef::Expr(e) => format!("expr {}", short(e)),
+                ChildRef::Annotation(e) => format!("ann {}", short(e)),
+            })
+        });
+        out
+    }
+
+    #[test]
+    fn dict_children_interleave_keys_and_values() {
+        assert_eq!(
+            value_children("{k1: v1, **s, k2: v2}"),
+            ["k1", "v1", "s", "k2", "v2"]
+        );
+    }
+
+    #[test]
+    fn if_exp_children_follow_the_source() {
+        assert_eq!(value_children("a if t else b"), ["a", "t", "b"]);
+    }
+
+    #[test]
+    fn comprehension_children_put_the_element_first() {
+        assert_eq!(
+            value_children("{k: v for x in xs if c for y in ys}"),
+            ["k", "v", "x", "xs", "c", "y", "ys"]
+        );
+    }
+
+    #[test]
+    fn children_cover_call_parts() {
+        assert_eq!(
+            value_children("f(x, *rest, key=y)"),
+            ["f", "x", "Starred", "y"]
+        );
+    }
+
+    #[test]
+    fn function_children_mark_annotations() {
+        let src = "@dec\ndef f(a: int = 1, b=2) -> str:\n    pass\n    return a\n";
+        assert_eq!(
+            first_stmt_children(src),
+            ["expr dec", "ann int", "expr 1", "expr 2", "ann str", "stmt 3", "stmt 4"]
+        );
+        assert_eq!(
+            first_stmt_children("x: List[int] = []\n"),
+            ["expr x", "ann Subscript", "expr List"]
+        );
+    }
+
+    #[test]
+    fn blocks_come_in_source_order() {
+        let src = "\
+try:
+    a = 1
+except E:
+    b = 2
+except F:
+    c = 3
+else:
+    d = 4
+finally:
+    e = 5
+";
+        let parsed = crate::parse(src).unwrap();
+        let lines: Vec<Vec<u32>> = parsed.module.body[0]
+            .blocks()
+            .map(|b| b.iter().map(|s| s.meta.span.start.line).collect())
+            .collect();
+        assert_eq!(lines, [[2], [4], [6], [8], [10]]);
+        let parsed = crate::parse("if t:\n    a = 1\nx = 2\n").unwrap();
+        let sizes: Vec<usize> = parsed.module.body[0].blocks().map(<[Stmt]>::len).collect();
+        assert_eq!(sizes, [1, 0, 0]);
+        assert_eq!(parsed.module.body[1].blocks().flatten().count(), 0);
     }
 
     #[test]

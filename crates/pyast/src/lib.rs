@@ -7,6 +7,17 @@
 //! the program-graph builder, the corpus tooling and the optional type
 //! checker need to see about a source file.
 //!
+//! It is also the one place that knows the AST's shape: which fields of
+//! a node are its children, and in what order.
+//! [`Stmt::for_each_child`] / [`Expr::for_each_child`] enumerate them in
+//! source order (the order of the program graph's CHILD edges, and so of
+//! every graph node id), marking annotation children as
+//! [`ChildRef::Annotation`]; [`Stmt::blocks`] yields a statement's nested
+//! statement blocks; and the [`visit`] walker is a pre-order recursion
+//! over that enumeration. A new syntactic form is taught to these
+//! functions once, plus to the semantic passes that give it meaning (the
+//! symbol table, the graph's dataflow pass, the checker).
+//!
 //! ## Quick example
 //!
 //! ```
@@ -36,7 +47,7 @@ pub mod symtable;
 pub mod token;
 pub mod visit;
 
-pub use ast::{Expr, ExprKind, Module, NodeId, NodeMeta, Param, Stmt, StmtKind};
+pub use ast::{ChildRef, Expr, ExprKind, Module, NodeId, NodeMeta, Param, Stmt, StmtKind};
 pub use error::{ParseError, ParseErrorKind};
 pub use lexer::tokenize;
 pub use parser::{parse, Parsed};

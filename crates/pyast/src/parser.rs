@@ -2182,29 +2182,22 @@ finally:
 
     #[test]
     fn node_ids_are_unique() {
-        let m = parse_ok("def f(a):\n    b = a + 1\n    return b * 2\n");
-        let mut seen = std::collections::HashSet::new();
-        // Walk statements manually; uniqueness across the ids we can reach.
-        fn walk_expr(e: &Expr, seen: &mut std::collections::HashSet<u32>) {
-            assert!(seen.insert(e.meta.id.0), "duplicate id {:?}", e.meta.id);
-            if let ExprKind::BinOp { left, right, .. } = &e.kind {
-                walk_expr(left, seen);
-                walk_expr(right, seen);
+        struct Ids(std::collections::HashSet<u32>);
+        impl crate::visit::Visitor for Ids {
+            fn visit_stmt(&mut self, s: &Stmt) {
+                assert!(self.0.insert(s.meta.id.0), "duplicate id {:?}", s.meta.id);
+            }
+            fn visit_expr(&mut self, e: &Expr) {
+                assert!(self.0.insert(e.meta.id.0), "duplicate id {:?}", e.meta.id);
             }
         }
-        fn walk(stmts: &[Stmt], seen: &mut std::collections::HashSet<u32>) {
-            for s in stmts {
-                assert!(seen.insert(s.meta.id.0), "duplicate id {:?}", s.meta.id);
-                match &s.kind {
-                    StmtKind::FunctionDef(f) => walk(&f.body, seen),
-                    StmtKind::Assign { value, .. } => walk_expr(value, seen),
-                    StmtKind::Return(Some(v)) => walk_expr(v, seen),
-                    _ => {}
-                }
-            }
-        }
-        walk(&m.body, &mut seen);
-        assert!(m.node_count as usize >= seen.len());
+        let m = parse_ok(
+            "@d\ndef f(a: int = 1) -> str:\n    b = {a: [x for x in a if x]}\n    return b * 2 if a else -b\n",
+        );
+        let mut ids = Ids(std::collections::HashSet::new());
+        crate::visit::walk_module(&mut ids, &m);
+        assert_eq!(ids.0.len(), 22, "every statement and expression is visited");
+        assert!(ids.0.iter().all(|&id| id < m.node_count));
     }
 
     #[test]

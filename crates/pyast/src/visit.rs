@@ -2,7 +2,10 @@
 //!
 //! Implement [`Visitor`] and override the hooks you care about; the `walk_*`
 //! free functions perform the recursive descent. Hooks are called *before*
-//! children are walked.
+//! children are walked (pre-order), and children are walked in the source
+//! order of [`Stmt::for_each_child`] / [`Expr::for_each_child`], the one
+//! child enumeration of the AST. Annotation children are walked like any
+//! other expression.
 
 use crate::ast::*;
 
@@ -12,11 +15,12 @@ pub trait Visitor {
     fn visit_stmt(&mut self, _stmt: &Stmt) {}
     /// Called for every expression before its children.
     fn visit_expr(&mut self, _expr: &Expr) {}
-    /// Called for every function parameter.
-    fn visit_param(&mut self, _param: &Param) {}
 
     /// Controls whether the walker descends into nested function/class
-    /// bodies. Defaults to `true`.
+    /// bodies. Defaults to `true`. When `false`, a def's decorators,
+    /// parameters and return annotation and a class's decorators, bases
+    /// and keywords are still walked: they are evaluated in the enclosing
+    /// scope.
     fn enter_scopes(&self) -> bool {
         true
     }
@@ -32,267 +36,22 @@ pub fn walk_module<V: Visitor>(v: &mut V, module: &Module) {
 /// Walks one statement and its children.
 pub fn walk_stmt<V: Visitor>(v: &mut V, stmt: &Stmt) {
     v.visit_stmt(stmt);
-    match &stmt.kind {
-        StmtKind::FunctionDef(f) => {
-            for d in &f.decorators {
-                walk_expr(v, d);
-            }
-            for p in &f.params {
-                v.visit_param(p);
-                if let Some(a) = &p.annotation {
-                    walk_expr(v, a);
-                }
-                if let Some(d) = &p.default {
-                    walk_expr(v, d);
-                }
-            }
-            if let Some(r) = &f.returns {
-                walk_expr(v, r);
-            }
-            if v.enter_scopes() {
-                for s in &f.body {
-                    walk_stmt(v, s);
-                }
-            }
-        }
-        StmtKind::ClassDef(c) => {
-            for d in &c.decorators {
-                walk_expr(v, d);
-            }
-            for b in &c.bases {
-                walk_expr(v, b);
-            }
-            for k in &c.keywords {
-                walk_expr(v, &k.value);
-            }
-            if v.enter_scopes() {
-                for s in &c.body {
-                    walk_stmt(v, s);
-                }
-            }
-        }
-        StmtKind::Return(value) => {
-            if let Some(e) = value {
-                walk_expr(v, e);
-            }
-        }
-        StmtKind::Assign { targets, value } => {
-            for t in targets {
-                walk_expr(v, t);
-            }
-            walk_expr(v, value);
-        }
-        StmtKind::AugAssign { target, value, .. } => {
-            walk_expr(v, target);
-            walk_expr(v, value);
-        }
-        StmtKind::AnnAssign {
-            target,
-            annotation,
-            value,
-        } => {
-            walk_expr(v, target);
-            walk_expr(v, annotation);
-            if let Some(e) = value {
-                walk_expr(v, e);
-            }
-        }
-        StmtKind::For {
-            target,
-            iter,
-            body,
-            orelse,
-            ..
-        } => {
-            walk_expr(v, target);
-            walk_expr(v, iter);
-            for s in body.iter().chain(orelse) {
+    let enter =
+        v.enter_scopes() || !matches!(stmt.kind, StmtKind::FunctionDef(_) | StmtKind::ClassDef(_));
+    stmt.for_each_child(|child| match child {
+        ChildRef::Stmt(s) => {
+            if enter {
                 walk_stmt(v, s);
             }
         }
-        StmtKind::While { test, body, orelse } => {
-            walk_expr(v, test);
-            for s in body.iter().chain(orelse) {
-                walk_stmt(v, s);
-            }
-        }
-        StmtKind::If { test, body, orelse } => {
-            walk_expr(v, test);
-            for s in body.iter().chain(orelse) {
-                walk_stmt(v, s);
-            }
-        }
-        StmtKind::With { items, body } => {
-            for item in items {
-                walk_expr(v, &item.context);
-                if let Some(t) = &item.target {
-                    walk_expr(v, t);
-                }
-            }
-            for s in body {
-                walk_stmt(v, s);
-            }
-        }
-        StmtKind::Raise { exc, cause } => {
-            if let Some(e) = exc {
-                walk_expr(v, e);
-            }
-            if let Some(e) = cause {
-                walk_expr(v, e);
-            }
-        }
-        StmtKind::Try {
-            body,
-            handlers,
-            orelse,
-            finalbody,
-        } => {
-            for s in body {
-                walk_stmt(v, s);
-            }
-            for h in handlers {
-                if let Some(e) = &h.exc_type {
-                    walk_expr(v, e);
-                }
-                for s in &h.body {
-                    walk_stmt(v, s);
-                }
-            }
-            for s in orelse.iter().chain(finalbody) {
-                walk_stmt(v, s);
-            }
-        }
-        StmtKind::Assert { test, msg } => {
-            walk_expr(v, test);
-            if let Some(m) = msg {
-                walk_expr(v, m);
-            }
-        }
-        StmtKind::Expr(e) => walk_expr(v, e),
-        StmtKind::Delete(targets) => {
-            for t in targets {
-                walk_expr(v, t);
-            }
-        }
-        StmtKind::Import(_)
-        | StmtKind::ImportFrom { .. }
-        | StmtKind::Global(_)
-        | StmtKind::Nonlocal(_)
-        | StmtKind::Pass
-        | StmtKind::Break
-        | StmtKind::Continue => {}
-    }
+        ChildRef::Expr(e) | ChildRef::Annotation(e) => walk_expr(v, e),
+    });
 }
 
 /// Walks one expression and its children.
 pub fn walk_expr<V: Visitor>(v: &mut V, expr: &Expr) {
     v.visit_expr(expr);
-    match &expr.kind {
-        ExprKind::Name(_)
-        | ExprKind::Num(_)
-        | ExprKind::Str(_)
-        | ExprKind::FString(_)
-        | ExprKind::Bool(_)
-        | ExprKind::NoneLit
-        | ExprKind::EllipsisLit => {}
-        ExprKind::Tuple(items) | ExprKind::List(items) | ExprKind::Set(items) => {
-            for e in items {
-                walk_expr(v, e);
-            }
-        }
-        ExprKind::Dict { keys, values } => {
-            for k in keys.iter().flatten() {
-                walk_expr(v, k);
-            }
-            for e in values {
-                walk_expr(v, e);
-            }
-        }
-        ExprKind::BinOp { left, right, .. } => {
-            walk_expr(v, left);
-            walk_expr(v, right);
-        }
-        ExprKind::UnaryOp { operand, .. } => walk_expr(v, operand),
-        ExprKind::BoolOp { values, .. } => {
-            for e in values {
-                walk_expr(v, e);
-            }
-        }
-        ExprKind::Compare {
-            left, comparators, ..
-        } => {
-            walk_expr(v, left);
-            for e in comparators {
-                walk_expr(v, e);
-            }
-        }
-        ExprKind::Call {
-            func,
-            args,
-            keywords,
-        } => {
-            walk_expr(v, func);
-            for e in args {
-                walk_expr(v, e);
-            }
-            for k in keywords {
-                walk_expr(v, &k.value);
-            }
-        }
-        ExprKind::Attribute { value, .. } => walk_expr(v, value),
-        ExprKind::Subscript { value, index } => {
-            walk_expr(v, value);
-            walk_expr(v, index);
-        }
-        ExprKind::Slice { lower, upper, step } => {
-            for e in [lower, upper, step].into_iter().flatten() {
-                walk_expr(v, e);
-            }
-        }
-        ExprKind::Lambda { params, body } => {
-            for p in params {
-                v.visit_param(p);
-                if let Some(d) = &p.default {
-                    walk_expr(v, d);
-                }
-            }
-            walk_expr(v, body);
-        }
-        ExprKind::IfExp { test, body, orelse } => {
-            walk_expr(v, test);
-            walk_expr(v, body);
-            walk_expr(v, orelse);
-        }
-        ExprKind::Starred(inner) => walk_expr(v, inner),
-        ExprKind::Comprehension {
-            element,
-            value,
-            clauses,
-            ..
-        } => {
-            for c in clauses {
-                walk_expr(v, &c.target);
-                walk_expr(v, &c.iter);
-                for i in &c.ifs {
-                    walk_expr(v, i);
-                }
-            }
-            walk_expr(v, element);
-            if let Some(val) = value {
-                walk_expr(v, val);
-            }
-        }
-        ExprKind::Yield(value) => {
-            if let Some(e) = value {
-                walk_expr(v, e);
-            }
-        }
-        ExprKind::YieldFrom(e) | ExprKind::Await(e) => walk_expr(v, e),
-        ExprKind::Walrus { target, value } => {
-            walk_expr(v, target);
-            walk_expr(v, value);
-        }
-    }
+    expr.for_each_child(|e| walk_expr(v, e));
 }
 
 #[cfg(test)]
@@ -335,19 +94,54 @@ mod tests {
     fn scope_skipping() {
         struct TopOnly {
             stmts: usize,
+            names: Vec<String>,
         }
         impl Visitor for TopOnly {
             fn visit_stmt(&mut self, _s: &Stmt) {
                 self.stmts += 1;
             }
+            fn visit_expr(&mut self, e: &Expr) {
+                if let ExprKind::Name(n) = &e.kind {
+                    self.names.push(n.clone());
+                }
+            }
             fn enter_scopes(&self) -> bool {
                 false
             }
         }
-        let parsed = parse("def f():\n    x = 1\n    y = 2\nz = 3\n").unwrap();
-        let mut v = TopOnly { stmts: 0 };
+        let src = "\
+@d(a)
+def f(p: T = dflt) -> R:
+    x = inner
+class C(B, metaclass=M):
+    y = member
+z = 3
+";
+        let parsed = parse(src).unwrap();
+        let mut v = TopOnly {
+            stmts: 0,
+            names: Vec::new(),
+        };
         walk_module(&mut v, &parsed.module);
-        assert_eq!(v.stmts, 2); // def + z assignment, body skipped
+        assert_eq!(v.stmts, 3); // def, class, z assignment; bodies skipped
+                                // Headers are walked: they are evaluated in the enclosing scope.
+        assert_eq!(v.names, ["d", "a", "T", "dflt", "R", "B", "M", "z"]);
+    }
+
+    #[test]
+    fn visits_in_source_order() {
+        let parsed =
+            parse("d = {k1: v1, k2: v2}\ne = a if t else b\nl = [el for x in xs]\n").unwrap();
+        let mut v = Counter {
+            stmts: 0,
+            exprs: 0,
+            names: Vec::new(),
+        };
+        walk_module(&mut v, &parsed.module);
+        assert_eq!(
+            v.names,
+            ["d", "k1", "v1", "k2", "v2", "e", "a", "t", "b", "l", "el", "x", "xs"]
+        );
     }
 
     #[test]

@@ -575,11 +575,13 @@ fn recover_from_panic(
     system.pool = PoolCell::new();
 }
 
-/// Whether the quarantine refuses this request.
+/// Whether the quarantine refuses this request. An empty quarantine
+/// (no batch ever panicked, the normal case) skips hashing the request.
 fn is_quarantined(quarantine: &BTreeMap<u64, u32>, request: &Request) -> bool {
-    request_hash(request)
-        .and_then(|hash| quarantine.get(&hash))
-        .is_some_and(|&count| count >= QUARANTINE_AFTER)
+    !quarantine.is_empty()
+        && request_hash(request)
+            .and_then(|hash| quarantine.get(&hash))
+            .is_some_and(|&count| count >= QUARANTINE_AFTER)
 }
 
 /// Quarantine identity of a request: the CRC-64 of its payload
