@@ -1,10 +1,13 @@
 //! # typilus-bench
 //!
-//! The benchmark harness of the Typilus reproduction: one binary per
-//! table and figure of the paper's evaluation (Sec. 6), plus Criterion
-//! performance benches for the paper's computational-speed claims.
+//! The benchmark harness of the Typilus reproduction: one runner,
+//! `--bin repro`, that renders every table and figure of the paper's
+//! evaluation (Sec. 6–7) from one shared set of trained models (see
+//! [`repro`] and [`outputs`]), plus the `bench_*` binaries and the
+//! Criterion benches for the paper's computational-speed claims.
 //!
-//! Every binary accepts environment variables to rescale the experiment:
+//! [`Scale::from_env`] reads these environment variables to rescale the
+//! experiment:
 //!
 //! | variable | meaning | default |
 //! |---|---|---|
@@ -21,6 +24,9 @@
 //! `EXPERIMENTS.md`).
 
 #![warn(missing_docs)]
+
+pub mod outputs;
+pub mod repro;
 
 use typilus::{
     train, EncoderKind, GraphConfig, LossKind, ModelConfig, PreparedCorpus, TrainedSystem,
@@ -248,45 +254,5 @@ mod tests {
         let config = config_for(&scale, EncoderKind::Graph, LossKind::Typilus, graph);
         let system = train_logged("smoke", &data, &config);
         assert!(!system.epochs.is_empty());
-    }
-}
-
-/// Writes `rows` as CSV to `$TYPILUS_CSV_DIR/<name>.csv` when that
-/// environment variable is set; silently does nothing otherwise. Used by
-/// the figure binaries so plots can be regenerated from machine-readable
-/// output.
-pub fn maybe_write_csv(name: &str, header: &str, rows: &[String]) {
-    let Ok(dir) = std::env::var("TYPILUS_CSV_DIR") else {
-        return;
-    };
-    let path = std::path::Path::new(&dir).join(format!("{name}.csv"));
-    let mut content = String::with_capacity(rows.len() * 32 + header.len() + 1);
-    content.push_str(header);
-    content.push('\n');
-    for r in rows {
-        content.push_str(r);
-        content.push('\n');
-    }
-    // lint: allow(D7) — advisory CSV side output, regenerated by rerunning the bench; a torn file cannot corrupt any pipeline artifact
-    if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, content)) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        eprintln!("wrote {}", path.display());
-    }
-}
-
-#[cfg(test)]
-mod csv_tests {
-    use super::maybe_write_csv;
-
-    #[test]
-    fn csv_written_when_dir_set() {
-        let dir = std::env::temp_dir().join(format!("typilus_csv_{}", std::process::id()));
-        std::env::set_var("TYPILUS_CSV_DIR", &dir);
-        maybe_write_csv("unit", "a,b", &["1,2".to_string(), "3,4".to_string()]);
-        let content = std::fs::read_to_string(dir.join("unit.csv")).expect("file written");
-        assert_eq!(content, "a,b\n1,2\n3,4\n");
-        std::env::remove_var("TYPILUS_CSV_DIR");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

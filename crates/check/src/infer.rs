@@ -9,7 +9,7 @@
 use crate::builtins::{builtin_call, element_of, method_on, MethodLookup};
 use crate::env::TypeEnv;
 use std::collections::HashMap;
-use typilus_pyast::ast::{BinOp, Expr, ExprKind, Stmt, StmtKind, UnaryOp};
+use typilus_pyast::ast::{BinOp, ChildRef, Expr, ExprKind, Stmt, StmtKind, UnaryOp};
 use typilus_pyast::symtable::{SymbolId, SymbolKind, SymbolTable};
 use typilus_types::{PyType, TypeHierarchy};
 
@@ -85,7 +85,8 @@ impl<'a> Inferencer<'a> {
     }
 
     /// Binds comprehension clause targets and walrus assignments found in
-    /// any expression position of `stmt`.
+    /// `stmt`'s own expressions. Nested blocks are left to
+    /// [`Self::collect_assignments`], so each expression is scanned once.
     fn collect_expr_bindings(&self, stmt: &Stmt, out: &mut Vec<(SymbolId, PyType)>) {
         struct Scan<'x, 'a> {
             inf: &'x Inferencer<'a>,
@@ -111,12 +112,14 @@ impl<'a> Inferencer<'a> {
                     _ => {}
                 }
             }
-            fn enter_scopes(&self) -> bool {
-                false
-            }
         }
         let mut scan = Scan { inf: self, out };
-        typilus_pyast::visit::walk_stmt(&mut scan, stmt);
+        stmt.for_each_child(|child| match child {
+            ChildRef::Expr(e) | ChildRef::Annotation(e) => {
+                typilus_pyast::visit::walk_expr(&mut scan, e);
+            }
+            ChildRef::Stmt(_) => {}
+        });
     }
 
     fn bind_target(&self, target: &Expr, ty: &PyType, out: &mut Vec<(SymbolId, PyType)>) {
@@ -553,6 +556,53 @@ mod tests {
             inf.infer_locals(&parsed.module.body);
         }
         f(&inf, &parsed)
+    }
+
+    /// A comprehension and a walrus four blocks deep, under a def.
+    const DEEP_BINDINGS: &str = "\
+from typing import List
+def f(xs: List[int], n: int):
+    for x in xs:
+        if x > 0:
+            while n:
+                ys = [y for y in xs]
+                if (m := n + 1):
+                    n = 0
+    return ys
+";
+
+    #[test]
+    fn deep_expression_bindings_are_scanned_once() {
+        with_inferencer(DEEP_BINDINGS, true, |inf, parsed| {
+            let mut locals: Vec<(String, String)> = inf
+                .local_inferred
+                .iter()
+                .map(|(&id, ty)| (inf.table.symbol(id).name.clone(), ty.to_string()))
+                .collect();
+            locals.sort();
+            // `ys` keeps round one's `List[Any]`, read before `y` was typed.
+            let want = [
+                ("m", "int"),
+                ("x", "int"),
+                ("y", "int"),
+                ("ys", "Union[List[Any], List[int]]"),
+            ];
+            let want: Vec<(String, String)> = want
+                .iter()
+                .map(|&(n, t)| (n.to_string(), t.to_string()))
+                .collect();
+            assert_eq!(locals, want);
+
+            // One round records each binding site once, however deep.
+            let mut updates = Vec::new();
+            inf.collect_assignments(&parsed.module.body, &mut updates);
+            let mut names: Vec<&str> = updates
+                .iter()
+                .map(|&(id, _)| inf.table.symbol(id).name.as_str())
+                .collect();
+            names.sort_unstable();
+            assert_eq!(names, ["m", "x", "y", "ys"]);
+        });
     }
 
     /// Infers the type of the value of the last assignment statement.

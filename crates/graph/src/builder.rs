@@ -137,6 +137,12 @@ struct Builder<'a> {
     included_tokens: Vec<usize>,
     /// Sorted start offsets of included tokens (parallel to included_tokens).
     token_offsets: Vec<usize>,
+    /// Graph node of the function whose body `build_ast` is in: `None`
+    /// at module level and in class and lambda bodies.
+    function: Option<u32>,
+    /// RETURNS_TO edges found by `build_ast`, in source order; drawn by
+    /// `build_returns_to`.
+    returns_to: Vec<(u32, u32)>,
 }
 
 impl<'a> Builder<'a> {
@@ -155,6 +161,8 @@ impl<'a> Builder<'a> {
             child_spans: Vec::new(),
             included_tokens: Vec::new(),
             token_offsets: Vec::new(),
+            function: None,
+            returns_to: Vec::new(),
         }
     }
 
@@ -258,7 +266,9 @@ impl<'a> Builder<'a> {
     }
 
     /// Builds the non-terminal node for one AST element and recurses.
-    /// Erased annotation children get no node.
+    /// Erased annotation children get no node. Records every `return`
+    /// and every yield, at any expression depth, with the function it
+    /// returns to.
     fn build_ast(&mut self, child: ChildRef<'_>) -> u32 {
         let (label, meta) = match child {
             ChildRef::Stmt(s) => (stmt_label(s), s.meta),
@@ -266,18 +276,48 @@ impl<'a> Builder<'a> {
         };
         let node = self.add_node(NodeKind::NonTerminal, label);
         self.ast_nodes.insert(meta.id, node);
+        let exits = match child {
+            ChildRef::Stmt(s) => matches!(s.kind, StmtKind::Return(_)),
+            ChildRef::Expr(e) | ChildRef::Annotation(e) => {
+                matches!(e.kind, ExprKind::Yield(_) | ExprKind::YieldFrom(_))
+            }
+        };
+        if let (true, Some(f)) = (exits, self.function) {
+            self.returns_to.push((node, f));
+        }
         let first_child = self.child_spans.len();
         let erase = self.config.erase_annotations;
+        let outer = self.function;
         match child {
-            ChildRef::Stmt(s) => s.for_each_child(|k| {
-                if !(erase && matches!(k, ChildRef::Annotation(_))) {
-                    self.build_child(node, k);
-                }
-            }),
+            ChildRef::Stmt(s) => {
+                // A def's decorators, defaults and annotations belong to
+                // the enclosing scope; only its body statements are inside.
+                let body = match s.kind {
+                    StmtKind::FunctionDef(_) => Some(node),
+                    StmtKind::ClassDef(_) => None,
+                    _ => outer,
+                };
+                s.for_each_child(|k| {
+                    if !(erase && matches!(k, ChildRef::Annotation(_))) {
+                        let in_body = matches!(k, ChildRef::Stmt(_));
+                        self.function = if in_body { body } else { outer };
+                        self.build_child(node, k);
+                    }
+                });
+            }
             ChildRef::Expr(e) | ChildRef::Annotation(e) => {
-                e.for_each_child(|k| self.build_child(node, ChildRef::Expr(k)));
+                let lambda_body = match &e.kind {
+                    ExprKind::Lambda { body, .. } => Some(&**body),
+                    _ => None,
+                };
+                e.for_each_child(|k| {
+                    let in_lambda = lambda_body.is_some_and(|b| std::ptr::eq(b, k));
+                    self.function = if in_lambda { None } else { outer };
+                    self.build_child(node, ChildRef::Expr(k));
+                });
             }
         }
+        self.function = outer;
         self.attach_tokens(node, meta.span, first_child);
         node
     }
@@ -391,38 +431,12 @@ impl<'a> Builder<'a> {
         }
     }
 
+    /// RETURNS_TO from every `return` and yield to its function, in the
+    /// order `build_ast` found them.
     fn build_returns_to(&mut self) {
-        // Walk function bodies; connect return statements and
-        // statement-level yields to the function definition node.
-        fn walk(builder: &mut Builder<'_>, stmts: &[Stmt], current_func: Option<NodeId>) {
-            for stmt in stmts {
-                let exit = match &stmt.kind {
-                    StmtKind::Return(_) => Some(stmt.meta.id),
-                    StmtKind::Expr(e)
-                        if matches!(e.kind, ExprKind::Yield(_) | ExprKind::YieldFrom(_)) =>
-                    {
-                        Some(e.meta.id)
-                    }
-                    _ => None,
-                };
-                if let (Some(exit), Some(func)) = (exit, current_func) {
-                    if let (Some(&r), Some(&f)) =
-                        (builder.ast_nodes.get(&exit), builder.ast_nodes.get(&func))
-                    {
-                        builder.add_edge(r, f, EdgeLabel::ReturnsTo);
-                    }
-                }
-                let func = match stmt.kind {
-                    StmtKind::FunctionDef(_) => Some(stmt.meta.id),
-                    _ => current_func,
-                };
-                for block in stmt.blocks() {
-                    walk(builder, block, func);
-                }
-            }
+        for (exit, function) in std::mem::take(&mut self.returns_to) {
+            self.add_edge(exit, function, EdgeLabel::ReturnsTo);
         }
-        let parsed = self.parsed;
-        walk(self, &parsed.module.body, None);
     }
 
     fn build_assigned_from(&mut self, stmt: &Stmt) {

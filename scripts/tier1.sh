@@ -10,9 +10,11 @@
 # suppressions denied), the dynamic determinism and kill-and-resume
 # check (threads x SIMD width x kernel mode), the benchmark-regression
 # smoke, the serve round-trip gate (byte-identical served replies,
-# untouched artifacts), clippy with warnings denied. It also fails if
-# crossbeam re-enters the dependency graph: `typilus_nn::WorkerPool` is
-# the one parallel engine. Run from anywhere; operates on the repo root.
+# untouched artifacts), the reproduction gate (all eleven paper outputs
+# at a small scale byte-identical to results/small/), clippy with
+# warnings denied. It also fails if crossbeam re-enters the dependency
+# graph: `typilus_nn::WorkerPool` is the one parallel engine. Run from
+# anywhere; operates on the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,6 +36,7 @@ cargo test -q -p typilus-serve --features faults --test serve_faults
 cargo run -p typilus-lint --release -- --deny-stale
 scripts/detcheck.sh
 scripts/servecheck.sh
+scripts/reprocheck.sh
 scripts/benchdiff.sh
 cargo clippy --workspace --all-targets -- -D warnings
 
