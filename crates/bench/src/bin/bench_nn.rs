@@ -7,7 +7,10 @@
 //! `set_kernel_mode`):
 //!   * one full training step (forward + backward + Adam) of the GGNN
 //!     model at hidden dims 64 and 128 — losses are asserted bitwise
-//!     identical between the two modes before timing;
+//!     identical between the two modes before timing, and
+//!     `step_speedup` is the median over five interleaved naive/fast
+//!     step pairs ([`typilus_bench::speed::StepBench`], the measurement
+//!     the speed gates run);
 //!   * steady-state arena allocations per training step (fresh heap
 //!     allocations after the pool is warm vs one allocation per tensor);
 //!   * raw matmul / matmul_t / fused aᵀ·b / transpose kernels on
@@ -17,118 +20,19 @@
 //! (`sse2` baseline or the widened `avx2` tile).
 //!
 //! Built with `--features nn-profile` it also prints the per-op time
-//! table for the Fast training steps to stderr.
+//! table for five Fast training steps at dim 128 to stderr.
 
 use std::time::Instant;
-use typilus::{EncoderKind, GraphConfig, LossKind};
-use typilus_bench::{config_for, prepare, Scale};
-use typilus_models::{PreparedFile, TypeModel};
-use typilus_nn::{arena_stats, set_kernel_mode, Adam, KernelMode, Tensor};
+use typilus_bench::speed::{median, StepBench};
+use typilus_nn::{set_kernel_mode, KernelMode, Tensor};
 
 /// Runs `f` `reps` times and returns the median wall-clock seconds.
 fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
-}
-
-/// One training step: forward + backward over `batch`, then Adam.
-fn step(model: &mut TypeModel, adam: &mut Adam, batch: &[&PreparedFile]) -> f32 {
-    let (loss, grads) = model
-        .train_step(batch)
-        .expect("batch has annotated targets");
-    adam.step(&mut model.params, grads);
-    loss
-}
-
-struct DimReport {
-    dim: usize,
-    step_secs_fast: f64,
-    step_secs_naive: f64,
-    fresh_per_step_fast: u64,
-    fresh_per_step_naive: u64,
-    reused_per_step_fast: u64,
-}
-
-fn bench_dim(dim: usize) -> DimReport {
-    let scale = Scale {
-        files: 16,
-        epochs: 1,
-        dim,
-        gnn_steps: 3,
-        seed: 0,
-        common_threshold: 8,
-    };
-    let graph = GraphConfig::default();
-    let (_, data) = prepare(&scale, &graph);
-    let config = config_for(&scale, EncoderKind::Graph, LossKind::Typilus, graph);
-    let train_graphs = data.graphs_of(&data.split.train);
-    let model = TypeModel::new(config.model, &train_graphs);
-    let prepared: Vec<PreparedFile> = data.files.iter().map(|f| model.prepare(&f.graph)).collect();
-    let batch: Vec<&PreparedFile> = data
-        .split
-        .train
-        .iter()
-        .take(config.batch_size)
-        .map(|&i| &prepared[i])
-        .collect();
-
-    // Determinism gate: the blocked/fused/arena path must produce the
-    // same loss, to the bit, as the reference kernels.
-    set_kernel_mode(KernelMode::Fast);
-    let (loss_fast, _) = model.train_step(&batch).expect("annotated batch");
-    set_kernel_mode(KernelMode::Naive);
-    let (loss_naive, _) = model.train_step(&batch).expect("annotated batch");
-    assert_eq!(
-        loss_fast.to_bits(),
-        loss_naive.to_bits(),
-        "dim {dim}: fast loss {loss_fast} != naive loss {loss_naive}"
-    );
-
-    // Timed steps include the optimizer update, matching the pipeline's
-    // per-batch work. Each mode gets its own model/optimizer clone so
-    // both time the same parameter trajectory. Naive runs first so the
-    // per-op profile table printed at the end covers only Fast steps.
-    set_kernel_mode(KernelMode::Naive);
-    let mut naive_model = model.clone();
-    let mut naive_adam = Adam::new(config.lr);
-    for _ in 0..3 {
-        step(&mut naive_model, &mut naive_adam, &batch);
-    }
-    let before = arena_stats();
-    step(&mut naive_model, &mut naive_adam, &batch);
-    let naive_allocs = arena_stats().since(&before);
-    let step_secs_naive = median_secs(5, || {
-        std::hint::black_box(step(&mut naive_model, &mut naive_adam, &batch));
-    });
-
-    set_kernel_mode(KernelMode::Fast);
-    typilus_nn::reset_profile();
-    let mut fast_model = model.clone();
-    let mut fast_adam = Adam::new(config.lr);
-    for _ in 0..3 {
-        step(&mut fast_model, &mut fast_adam, &batch); // warm the arena pool
-    }
-    let before = arena_stats();
-    step(&mut fast_model, &mut fast_adam, &batch);
-    let fast_allocs = arena_stats().since(&before);
-    let step_secs_fast = median_secs(5, || {
-        std::hint::black_box(step(&mut fast_model, &mut fast_adam, &batch));
-    });
-    DimReport {
-        dim,
-        step_secs_fast,
-        step_secs_naive,
-        fresh_per_step_fast: fast_allocs.fresh,
-        fresh_per_step_naive: naive_allocs.fresh,
-        reused_per_step_fast: fast_allocs.reused,
-    }
+    median((0..reps).map(|_| {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_secs_f64()
+    }))
 }
 
 /// Deterministic pseudo-random matrix (xorshift; no rand dependency
@@ -200,26 +104,37 @@ fn bench_kernels(n: usize) -> KernelReport {
 fn main() {
     let mut dim_json = Vec::new();
     for dim in [64usize, 128] {
-        eprintln!("timing one training step at dim {dim} (fast vs naive kernels)...");
-        let r = bench_dim(dim);
-        let speedup = r.step_secs_naive / r.step_secs_fast.max(1e-12);
-        let alloc_reduction = r.fresh_per_step_naive as f64 / (r.fresh_per_step_fast.max(1)) as f64;
-        eprintln!(
-            "  dim {dim}: {:.4}s -> {:.4}s ({speedup:.2}x), allocs/step {} -> {} ({alloc_reduction:.0}x)",
-            r.step_secs_naive, r.step_secs_fast, r.fresh_per_step_naive, r.fresh_per_step_fast
+        eprintln!("timing training steps at dim {dim} (fast vs naive kernels, 5 pairs)...");
+        let mut bench = StepBench::new(dim);
+        let pairs = bench.pairs(5);
+        let (naive, fast) = (
+            median(pairs.iter().map(|p| p.reference)),
+            median(pairs.iter().map(|p| p.candidate)),
         );
+        let speedup = median(pairs.iter().map(|p| p.speedup()));
+        let alloc_reduction = bench.fresh_naive as f64 / (bench.fresh_fast.max(1)) as f64;
+        eprintln!(
+            "  dim {dim}: {naive:.4}s -> {fast:.4}s ({speedup:.2}x), allocs/step {} -> {} ({alloc_reduction:.0}x)",
+            bench.fresh_naive, bench.fresh_fast
+        );
+        if dim == 128 && typilus_nn::profiling_enabled() {
+            typilus_nn::reset_profile();
+            for _ in 0..5 {
+                bench.step_secs(KernelMode::Fast);
+            }
+        }
         dim_json.push(format!(
             "    {{\n      \"dim\": {},\n      \"step_secs_fast\": {:.6},\n      \
              \"step_secs_naive\": {:.6},\n      \"step_speedup\": {:.3},\n      \
              \"fresh_allocs_per_step_fast\": {},\n      \"fresh_allocs_per_step_naive\": {},\n      \
              \"arena_reuses_per_step\": {},\n      \"alloc_reduction\": {:.1}\n    }}",
-            r.dim,
-            r.step_secs_fast,
-            r.step_secs_naive,
+            dim,
+            fast,
+            naive,
             speedup,
-            r.fresh_per_step_fast,
-            r.fresh_per_step_naive,
-            r.reused_per_step_fast,
+            bench.fresh_fast,
+            bench.fresh_naive,
+            bench.reused_fast,
             alloc_reduction,
         ));
     }

@@ -1,211 +1,35 @@
 //! `bench_space` — the million-marker TypeSpace index benchmark.
 //!
-//! For each marker count in `TYPILUS_SPACE_SCALES` (default
-//! `10000,100000,1000000`) this measures, over a synthetic but
-//! deterministic marker set:
+//! For 10⁴, 10⁵ and 10⁶ markers this measures, over a synthetic but
+//! deterministic marker set ([`typilus_bench::speed::scale_report`],
+//! the measurement the speed gates run):
 //!
 //! - **build**: serial vs 4-thread pooled sharded build of the on-disk
 //!   payload, asserting the two byte streams are identical (the
-//!   determinism contract), and reporting the parallel speedup;
-//! - **recall@10** of the sharded index against [`ExactIndex`] over
+//!   determinism contract);
+//! - **recall@10** of the sharded index against `ExactIndex` over
 //!   the same points;
-//! - **query latency** p50/p99 of the zero-copy view, per query;
+//! - **query latency** p50/p99 of the zero-copy view per query, and
+//!   the speedup over the exact scan as the median of five interleaved
+//!   query pairs;
 //! - **load**: opening the written sidecar through the O(header)
-//!   mmap path ([`typilus::open_space_index`]) vs the read-everything
-//!   path plus a full checksum sweep.
+//!   mmap path vs the read-everything path plus a full checksum sweep.
 //!
 //! Writes `BENCH_space.json` (or `TYPILUS_BENCH_OUT`) and prints it to
-//! stdout. `scripts/benchdiff.sh` runs this at reduced scale and fails
-//! on query-latency or recall regressions.
+//! stdout.
 
-use std::time::Instant;
-use typilus_nn::WorkerPool;
-use typilus_space::{
-    build_payload, ExactIndex, PointStore, QueryScratch, RpForestConfig, SpaceConfig, SpaceIndex,
-};
-
-/// Deterministic synthetic markers: `n` points in `dim` dimensions from
-/// a fixed LCG, loosely clustered so tree splits stay meaningful.
-fn synth_points(n: usize, dim: usize, seed: u64) -> PointStore {
-    let mut points = PointStore::new(dim);
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
-    };
-    let mut row = vec![0.0f32; dim];
-    for i in 0..n {
-        let center = (i % 97) as f32 * 0.05;
-        for slot in row.iter_mut() {
-            *slot = center + next();
-        }
-        points.push(&row);
-    }
-    points
-}
-
-fn type_names(n: usize) -> Vec<String> {
-    (0..n).map(|i| format!("type_{}", i % 64)).collect()
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
-struct ScaleReport {
-    markers: usize,
-    search_k: usize,
-    payload_bytes: usize,
-    build_serial_s: f64,
-    build_pooled_s: f64,
-    build_speedup: f64,
-    recall_at_10: f64,
-    query_p50_us: f64,
-    query_p99_us: f64,
-    exact_p50_us: f64,
-    query_speedup_vs_exact: f64,
-    load_mmap_s: f64,
-    load_read_verify_s: f64,
-}
-
-fn run_scale(n: usize, dim: usize, base: &SpaceConfig, bench_dir: &std::path::Path) -> ScaleReport {
-    // The candidate budget must grow with the marker count: a fixed
-    // search_k dilutes to vanishing recall at 10^6 points.
-    let config = &SpaceConfig {
-        forest: RpForestConfig {
-            search_k: (n / 64).max(4096),
-            ..base.forest
-        },
-        ..*base
-    };
-    eprintln!("[space] {n} markers: synthesizing...");
-    let points = synth_points(n, dim, 11);
-    let names = type_names(n);
-
-    eprintln!("[space] {n} markers: building (serial)...");
-    let t = Instant::now();
-    let serial = build_payload(&points, &names, config, 5, None).expect("serial build");
-    let build_serial_s = t.elapsed().as_secs_f64();
-
-    eprintln!("[space] {n} markers: building (4-thread pool)...");
-    let pool = WorkerPool::new(4);
-    let t = Instant::now();
-    let pooled = build_payload(&points, &names, config, 5, Some(&pool)).expect("pooled build");
-    let build_pooled_s = t.elapsed().as_secs_f64();
-    assert_eq!(
-        serial, pooled,
-        "sharded build must be byte-identical at any thread count"
-    );
-
-    let payload_bytes = pooled.len();
-    let index = SpaceIndex::from_payload_vec(pooled).expect("open");
-
-    // Recall@10 against brute force over the same points, on queries
-    // drawn near the cluster centers (fewer at the largest scale: the
-    // exact scan is the benchmark's own cost ceiling).
-    let k = 10;
-    let queries: usize = if n >= 1_000_000 { 50 } else { 100 };
-    let exact = ExactIndex::from_store(points.clone());
-    let mut scratch = QueryScratch::new();
-    let mut hits = Vec::new();
-    let query_points = synth_points(queries, dim, 77);
-    let mut overlap = 0usize;
-    let mut total = 0usize;
-    for q in query_points.rows() {
-        let truth = exact.query(q, k);
-        index.query_into(q, k, &mut scratch, &mut hits);
-        total += truth.len();
-        for t in &truth {
-            if hits.iter().any(|h| h.index == t.index) {
-                overlap += 1;
-            }
-        }
-    }
-    let recall_at_10 = overlap as f64 / total.max(1) as f64;
-
-    // Per-query latency of the zero-copy view, warmed scratch.
-    let mut lat: Vec<f64> = Vec::with_capacity(queries * 4);
-    for q in query_points.rows() {
-        index.query_into(q, k, &mut scratch, &mut hits);
-    }
-    for _ in 0..4 {
-        for q in query_points.rows() {
-            let t = Instant::now();
-            index.query_into(q, k, &mut scratch, &mut hits);
-            lat.push(t.elapsed().as_secs_f64() * 1e6);
-        }
-    }
-    lat.sort_by(f64::total_cmp);
-    let query_p50_us = percentile(&lat, 0.50);
-    let query_p99_us = percentile(&lat, 0.99);
-
-    // Exact-scan latency over the same queries: the denominator of the
-    // query speedup, a within-run ratio that compares across machines
-    // (scripts/benchdiff.sh keys its regression check on it).
-    let mut exact_lat: Vec<f64> = Vec::with_capacity(queries);
-    for q in query_points.rows() {
-        let t = Instant::now();
-        exact.query_into(q, k, &mut scratch, &mut hits);
-        exact_lat.push(t.elapsed().as_secs_f64() * 1e6);
-    }
-    exact_lat.sort_by(f64::total_cmp);
-    let exact_p50_us = percentile(&exact_lat, 0.50);
-
-    // Load cost: the O(header) mmap open vs read-back + checksum sweep.
-    let sidecar = bench_dir.join(format!("bench_{n}.space"));
-    typilus::atomic_io::write_artifact(&sidecar, index.payload()).expect("write sidecar");
-    let t = Instant::now();
-    let mapped = typilus::open_space_index(&sidecar).expect("mmap open");
-    let load_mmap_s = t.elapsed().as_secs_f64();
-    assert_eq!(mapped.file_id(), index.file_id());
-    let t = Instant::now();
-    let swept = typilus::open_space_index(&sidecar).expect("open");
-    swept.verify().expect("verify");
-    let load_read_verify_s = t.elapsed().as_secs_f64();
-    std::fs::remove_file(&sidecar).ok();
-
-    ScaleReport {
-        markers: n,
-        search_k: config.forest.search_k,
-        payload_bytes,
-        build_serial_s,
-        build_pooled_s,
-        build_speedup: build_serial_s / build_pooled_s.max(1e-9),
-        recall_at_10,
-        query_p50_us,
-        query_p99_us,
-        exact_p50_us,
-        query_speedup_vs_exact: exact_p50_us / query_p50_us.max(1e-9),
-        load_mmap_s,
-        load_read_verify_s,
-    }
-}
+use typilus_bench::speed::{scale_report, space_config, ScaleReport, SPACE_DIM};
 
 fn main() {
-    let scales = typilus_bench::space_scales(&[10_000, 100_000, 1_000_000]);
-    let dim = 32;
-    let config = SpaceConfig {
-        shards: 8,
-        forest: RpForestConfig {
-            trees: 16,
-            leaf_size: 32,
-            search_k: 4096,
-        },
-        rebuild_threshold: 1024,
-    };
     let bench_dir =
         std::env::temp_dir().join(format!("typilus_bench_space_{}", std::process::id()));
     std::fs::create_dir_all(&bench_dir).expect("bench dir");
-
-    let reports: Vec<ScaleReport> = scales
-        .iter()
-        .map(|&n| run_scale(n, dim, &config, &bench_dir))
+    let reports: Vec<ScaleReport> = [10_000, 100_000, 1_000_000]
+        .into_iter()
+        .map(|n| {
+            eprintln!("[space] {n} markers...");
+            scale_report(n, 5, &bench_dir)
+        })
         .collect();
     std::fs::remove_dir_all(&bench_dir).ok();
 
@@ -227,7 +51,7 @@ fn main() {
             r.payload_bytes,
             r.build_serial_s,
             r.build_pooled_s,
-            r.build_speedup,
+            r.build_serial_s / r.build_pooled_s.max(1e-9),
             r.recall_at_10,
             r.query_p50_us,
             r.query_p99_us,
@@ -242,8 +66,9 @@ fn main() {
     let cpus = std::thread::available_parallelism()
         .map(usize::from)
         .unwrap_or(1);
+    let config = space_config(0);
     let json = format!(
-        "{{\n  \"bench\": \"space\",\n  \"dim\": {dim},\n  \"shards\": {},\n  \
+        "{{\n  \"bench\": \"space\",\n  \"dim\": {SPACE_DIM},\n  \"shards\": {},\n  \
          \"trees\": {},\n  \"leaf_size\": {},\n  \"k\": 10,\n  \"host_cpus\": {cpus},\n  \
          \"scales\": [\n{rows}\n  ]\n}}\n",
         config.shards, config.forest.trees, config.forest.leaf_size

@@ -8,7 +8,8 @@
 //! Writes `DIR/<name>.txt` plus `DIR/csv/*.csv` (`DIR` defaults to
 //! `results`) for the named outputs, or for all eleven. Each distinct
 //! model trains once and is shared by the outputs that read it. The
-//! `TYPILUS_*` variables of the crate docs rescale the run.
+//! `TYPILUS_*` variables of the crate docs rescale the run; a malformed
+//! one exits 2 before anything trains.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -35,7 +36,14 @@ fn main() -> ExitCode {
     if !names.is_empty() {
         outputs.retain(|o| names.iter().any(|n| n == o.name));
     }
-    for (name, part) in repro::run(&Scale::from_env(), &outputs) {
+    let scale = match Scale::from_env() {
+        Ok(scale) => scale,
+        Err(e) => {
+            eprintln!("repro: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    for (name, part) in repro::run(&scale, &outputs) {
         if let Err(e) = repro::write(&dir, name, &part) {
             eprintln!("repro: could not write {name} to {}: {e}", dir.display());
             return ExitCode::FAILURE;

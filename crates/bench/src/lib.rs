@@ -3,11 +3,14 @@
 //! The benchmark harness of the Typilus reproduction: one runner,
 //! `--bin repro`, that renders every table and figure of the paper's
 //! evaluation (Sec. 6–7) from one shared set of trained models (see
-//! [`repro`] and [`outputs`]), plus the `bench_*` binaries and the
-//! Criterion benches for the paper's computational-speed claims.
+//! [`repro`] and [`outputs`]); the `bench_nn`, `bench_space` and
+//! `bench_lint` binaries, which write the committed `BENCH_*.json`
+//! reports; and the [`speed`] measurements that both those reports and
+//! the release-mode gates in `tests/speed_gates.rs` run.
 //!
 //! [`Scale::from_env`] reads these environment variables to rescale the
-//! experiment:
+//! experiment; a value that is not a non-negative integer is an error
+//! naming the variable, never a silent default:
 //!
 //! | variable | meaning | default |
 //! |---|---|---|
@@ -27,6 +30,7 @@
 
 pub mod outputs;
 pub mod repro;
+pub mod speed;
 
 use typilus::{
     train, EncoderKind, GraphConfig, LossKind, ModelConfig, PreparedCorpus, TrainedSystem,
@@ -51,11 +55,38 @@ pub struct Scale {
     pub common_threshold: usize,
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// A malformed scale variable (see the crate docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScaleError {
+    /// The variable's name.
+    pub name: &'static str,
+    /// The value that did not parse.
+    pub value: String,
+}
+
+impl std::fmt::Display for ScaleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "invalid {} value {:?}: expected a non-negative integer",
+            self.name, self.value
+        )
+    }
+}
+
+impl std::error::Error for ScaleError {}
+
+/// `name`'s value from `lookup` parsed as an integer (surrounding
+/// whitespace allowed), or `default` when `lookup` has no value.
+fn knob<T: std::str::FromStr>(
+    lookup: &dyn Fn(&str) -> Option<String>,
+    name: &'static str,
+    default: T,
+) -> Result<T, ScaleError> {
+    match lookup(name) {
+        None => Ok(default),
+        Some(value) => value.trim().parse().map_err(|_| ScaleError { name, value }),
+    }
 }
 
 /// Output path for a benchmark's JSON report: `TYPILUS_BENCH_OUT`, or
@@ -65,65 +96,23 @@ pub fn bench_out(default: &str) -> String {
     std::env::var("TYPILUS_BENCH_OUT").unwrap_or_else(|_| default.to_string())
 }
 
-/// Marker counts for the TypeSpace index benchmark (`bench_space`):
-/// `TYPILUS_SPACE_SCALES` as a comma-separated list (e.g.
-/// `"10000,100000"`), or `default` when unset. Unparsable entries are
-/// skipped.
-pub fn space_scales(default: &[usize]) -> Vec<usize> {
-    match std::env::var("TYPILUS_SPACE_SCALES") {
-        Ok(raw) => {
-            let scales: Vec<usize> = raw
-                .split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .collect();
-            if scales.is_empty() {
-                default.to_vec()
-            } else {
-                scales
-            }
-        }
-        Err(_) => default.to_vec(),
-    }
-}
-
-/// Client counts for the serve benchmark (`bench_serve`):
-/// `TYPILUS_SERVE_CLIENTS` as a comma-separated list (e.g. `"1,4,8"`),
-/// or `default` when unset. Unparsable entries are skipped.
-pub fn serve_clients(default: &[usize]) -> Vec<usize> {
-    match std::env::var("TYPILUS_SERVE_CLIENTS") {
-        Ok(raw) => {
-            let counts: Vec<usize> = raw
-                .split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&c| c > 0)
-                .collect();
-            if counts.is_empty() {
-                default.to_vec()
-            } else {
-                counts
-            }
-        }
-        Err(_) => default.to_vec(),
-    }
-}
-
-/// Requests each serve-benchmark client sends:
-/// `TYPILUS_SERVE_REQUESTS`, or `default` when unset or unparsable.
-pub fn serve_requests(default: usize) -> usize {
-    env_usize("TYPILUS_SERVE_REQUESTS", default)
-}
-
 impl Scale {
     /// Reads the scale from the environment (see crate docs).
-    pub fn from_env() -> Scale {
-        Scale {
-            files: env_usize("TYPILUS_FILES", 150),
-            epochs: env_usize("TYPILUS_EPOCHS", 18),
-            dim: env_usize("TYPILUS_DIM", 32),
-            gnn_steps: env_usize("TYPILUS_GNN_STEPS", 8),
-            seed: env_usize("TYPILUS_SEED", 0) as u64,
-            common_threshold: env_usize("TYPILUS_COMMON", 15),
-        }
+    pub fn from_env() -> Result<Scale, ScaleError> {
+        Scale::from_vars(&|name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned()))
+    }
+
+    /// The scale from `lookup`, which maps a variable name to its value
+    /// (`None` when unset); [`Scale::from_env`] passes the environment.
+    pub fn from_vars(lookup: &dyn Fn(&str) -> Option<String>) -> Result<Scale, ScaleError> {
+        Ok(Scale {
+            files: knob(lookup, "TYPILUS_FILES", 150)?,
+            epochs: knob(lookup, "TYPILUS_EPOCHS", 18)?,
+            dim: knob(lookup, "TYPILUS_DIM", 32)?,
+            gnn_steps: knob(lookup, "TYPILUS_GNN_STEPS", 8)?,
+            seed: knob(lookup, "TYPILUS_SEED", 0)?,
+            common_threshold: knob(lookup, "TYPILUS_COMMON", 15)?,
+        })
     }
 
     /// A small scale for smoke tests.
@@ -227,8 +216,39 @@ mod tests {
 
     #[test]
     fn scale_env_defaults() {
-        let s = Scale::from_env();
-        assert!(s.files > 0 && s.epochs > 0 && s.dim > 0);
+        let s = Scale::from_vars(&|_| None).unwrap();
+        assert_eq!((s.files, s.epochs, s.dim, s.gnn_steps), (150, 18, 32, 8));
+        assert_eq!((s.seed, s.common_threshold), (0, 15));
+    }
+
+    #[test]
+    fn scale_vars_parse_set_values() {
+        let s = Scale::from_vars(&|name| match name {
+            "TYPILUS_FILES" => Some(" 30 ".to_string()),
+            "TYPILUS_SEED" => Some("7".to_string()),
+            _ => None,
+        })
+        .unwrap();
+        assert_eq!((s.files, s.seed, s.epochs), (30, 7, 18));
+    }
+
+    #[test]
+    fn malformed_scale_var_is_an_error_naming_it() {
+        for name in [
+            "TYPILUS_FILES",
+            "TYPILUS_EPOCHS",
+            "TYPILUS_DIM",
+            "TYPILUS_GNN_STEPS",
+            "TYPILUS_SEED",
+            "TYPILUS_COMMON",
+        ] {
+            for bad in ["3O", "", "-1", "1.5", "ten"] {
+                let err = Scale::from_vars(&|n| (n == name).then(|| bad.to_string())).unwrap_err();
+                assert_eq!(err.name, name);
+                assert_eq!(err.value, bad);
+                assert!(err.to_string().contains(name), "{err}");
+            }
+        }
     }
 
     #[test]

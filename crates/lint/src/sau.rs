@@ -6,9 +6,9 @@
 //!   which only watched worker closures — to the whole interprocedural
 //!   serve surface.
 //! - **A-rule** (A1): nothing reachable from a `// lint: root(hotpath)`
-//!   function may allocate; the serve query path's zero-allocation
-//!   claim is enforced dynamically by `bench_space`/`bench_serve`
-//!   counters and statically here.
+//!   function may allocate. This static rule is the only check of the
+//!   serve query path's zero-allocation claim: no test or benchmark
+//!   counts heap allocations there.
 //! - **U-rules** (U1, U2): `unsafe fn` must carry a `# Safety` doc
 //!   section, and raw pointers must not appear in effectively-public
 //!   signatures. D5 audits unsafe *blocks*; U audits the unsafe

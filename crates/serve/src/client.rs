@@ -1,5 +1,5 @@
 //! A small synchronous client for the serve protocol — used by the
-//! CLI's `query` verb, the protocol tests, and `bench_serve`.
+//! CLI's `query` verb, the protocol tests, and the serve speed gates.
 //!
 //! Two modes. [`Client::connect`] is the legacy blocking client: no
 //! socket timeouts, no retries — it trusts the server completely.

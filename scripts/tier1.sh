@@ -8,13 +8,16 @@
 # atomic-I/O faults and serve chaos: engine panics, disk faults, torn
 # reply writes), the determinism/panic-freedom lint (stale
 # suppressions denied), the dynamic determinism and kill-and-resume
-# check (threads x SIMD width x kernel mode), the benchmark-regression
-# smoke, the serve round-trip gate (byte-identical served replies,
-# untouched artifacts), the reproduction gate (all eleven paper outputs
-# at a small scale byte-identical to results/small/), clippy with
-# warnings denied. It also fails if crossbeam re-enters the dependency
-# graph: `typilus_nn::WorkerPool` is the one parallel engine. Run from
-# anywhere; operates on the repo root.
+# check (threads x SIMD width x kernel mode), the serve round-trip gate
+# (byte-identical served replies, untouched artifacts), the reproduction
+# gate (all eleven paper outputs at a small scale byte-identical to
+# results/small/), the release-mode speed gates (crates/bench/tests/
+# speed_gates.rs: each fast path's median speedup against the committed
+# BENCH_nn.json / BENCH_space.json figures, serve throughput scaling
+# and supervision overhead), clippy with warnings denied. It also fails
+# if crossbeam re-enters the dependency graph: `typilus_nn::WorkerPool`
+# is the one parallel engine. Run from anywhere; operates on the repo
+# root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,7 +40,7 @@ cargo run -p typilus-lint --release -- --deny-stale
 scripts/detcheck.sh
 scripts/servecheck.sh
 scripts/reprocheck.sh
-scripts/benchdiff.sh
+cargo test --release -q -p typilus-bench --test speed_gates -- --ignored --test-threads=1
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "tier1: OK"

@@ -153,28 +153,34 @@ fn batched_concurrent_replies_match_one_shot_predictions() {
         .collect();
 
     let (endpoint, handle) = start_server(ServeOptions::default());
-    let mut threads = Vec::new();
-    // 3 clients per source, all in flight at once: batching and
-    // interleaving must be invisible in the replies.
-    for (src, want) in sources.iter().zip(&expected) {
-        for _ in 0..3 {
+    // 12 clients, all in flight at once, each sending ROUNDS requests
+    // that rotate through the sources: batching and interleaving must be
+    // invisible in the replies, and no request may get an error reply.
+    const CLIENTS: usize = 12;
+    const ROUNDS: usize = 10;
+    let threads: Vec<_> = (0..CLIENTS)
+        .map(|c| {
             let endpoint = endpoint.clone();
-            let src = src.clone();
-            let want = want.clone();
-            threads.push(thread::spawn(move || {
+            let (sources, expected) = (sources.clone(), expected.clone());
+            thread::spawn(move || {
                 let mut client = Client::connect(&endpoint).unwrap();
-                match client.predict(&src).unwrap() {
-                    Response::Predictions(got) => assert_eq!(got, want),
-                    other => panic!("expected predictions, got {other:?}"),
+                for r in 0..ROUNDS {
+                    let i = (c + r) % sources.len();
+                    match client.predict(&sources[i]).unwrap() {
+                        Response::Predictions(got) => assert_eq!(got, expected[i]),
+                        other => {
+                            panic!("client {c} round {r}: expected predictions, got {other:?}")
+                        }
+                    }
                 }
-            }));
-        }
-    }
+            })
+        })
+        .collect();
     for t in threads {
         t.join().unwrap();
     }
     let (summary, _) = shutdown_and_join(&endpoint, handle);
-    assert_eq!(summary.predicts, 12);
+    assert_eq!(summary.predicts, (CLIENTS * ROUNDS) as u64);
     assert_eq!(summary.errors, 0);
 }
 
