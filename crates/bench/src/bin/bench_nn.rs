@@ -17,10 +17,8 @@
 //!     square matrices.
 //!
 //! The JSON also records which SIMD tile width the dispatcher selected
-//! (`sse2` baseline or the widened `avx2` tile).
-//!
-//! Built with `--features nn-profile` it also prints the per-op time
-//! table for five Fast training steps at dim 128 to stderr.
+//! (`sse2` baseline or the widened `avx2` tile). The per-op profiler
+//! stays off, so its clock reads never enter these timings.
 
 use std::time::Instant;
 use typilus_bench::speed::{median, StepBench};
@@ -117,12 +115,6 @@ fn main() {
             "  dim {dim}: {naive:.4}s -> {fast:.4}s ({speedup:.2}x), allocs/step {} -> {} ({alloc_reduction:.0}x)",
             bench.fresh_naive, bench.fresh_fast
         );
-        if dim == 128 && typilus_nn::profiling_enabled() {
-            typilus_nn::reset_profile();
-            for _ in 0..5 {
-                bench.step_secs(KernelMode::Fast);
-            }
-        }
         dim_json.push(format!(
             "    {{\n      \"dim\": {},\n      \"step_secs_fast\": {:.6},\n      \
              \"step_secs_naive\": {:.6},\n      \"step_speedup\": {:.3},\n      \
@@ -142,10 +134,6 @@ fn main() {
     let n = 256;
     eprintln!("timing {n}x{n} matmul / matmul_t / transpose kernels...");
     let k = bench_kernels(n);
-
-    if let Some(table) = typilus_nn::profile_report() {
-        eprintln!("per-op profile (fast-mode training steps, dim 128):\n{table}");
-    }
 
     let json = format!(
         "{{\n  \"simd_width\": \"{}\",\n  \"train_step\": [\n{}\n  ],\n  \"kernels\": {{\n    \"n\": {},\n    \

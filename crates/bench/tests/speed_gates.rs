@@ -12,8 +12,8 @@
 //!
 //! | gate | floor |
 //! |---|---|
-//! | nn fast/naive train-step speedup, dims 64 and 128 | ≥ 0.9 × `step_speedup` in `BENCH_nn.json` |
-//! | sharded/exact query speedup, 10⁴ and 10⁵ markers | ≥ 0.9 × `query_speedup_vs_exact` in `BENCH_space.json` |
+//! | nn fast/naive train-step speedup, dims 64 and 128 | ≥ 0.9 × [`NN_STEP_SPEEDUPS`] |
+//! | sharded/exact query speedup, 10⁴ and 10⁵ markers | ≥ 0.9 × [`SPACE_QUERY_SPEEDUPS`] |
 //! | serve throughput, 4 clients over 1 | ≥ [`MIN_THROUGHPUT_SCALING`] |
 //! | serve `catch_unwind` supervision, p50 ratio | < [`MAX_SUPERVISION_OVERHEAD`] |
 //!
@@ -21,7 +21,6 @@
 //! 10⁴ and 10⁵ markers) is deterministic, so that gate is not ignored:
 //! plain `cargo test` runs it in a few seconds.
 
-use std::path::Path;
 use std::time::Instant;
 
 use typilus::{EncoderKind, GraphConfig, LossKind, TrainedSystem};
@@ -35,6 +34,15 @@ const PAIRS: usize = 7;
 
 /// A gate's floor as a fraction of the committed speedup.
 const FLOOR: f64 = 0.9;
+
+/// `(dim, fast/naive train-step speedup)` as `bench_nn` measured them
+/// when the nn gate was set.
+const NN_STEP_SPEEDUPS: [(usize, f64); 2] = [(64, 3.416), (128, 3.804)];
+
+/// `(markers, sharded/exact query speedup)` as `bench_space` measured
+/// them when the space gate was set; 10⁶ is too slow to build for a
+/// gate.
+const SPACE_QUERY_SPEEDUPS: [(usize, f64); 2] = [(10_000, 0.22), (100_000, 3.77)];
 
 /// Half the throughput scaling of 4 clients over 1 that the serve
 /// benchmark reported when the gate was set (3.877).
@@ -51,36 +59,6 @@ fn assert_release() {
     if cfg!(debug_assertions) {
         panic!("speed gates time release code: run them with `cargo test --release`");
     }
-}
-
-/// The value of `field` in each record of a committed report, keyed by
-/// the `key` field seen last before it (the reports put one field per
-/// line).
-fn committed(file: &str, key: &str, field: &str) -> Vec<(usize, f64)> {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(file);
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read committed {}: {e}", path.display()));
-    let mut current = None;
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some((name, value)) = line.trim().trim_end_matches(',').split_once(':') else {
-            continue;
-        };
-        let (name, value) = (name.trim().trim_matches('"'), value.trim());
-        if name == key {
-            current = value.parse().ok();
-        } else if name == field {
-            let k = current.unwrap_or_else(|| panic!("{file}: {field} before any {key}"));
-            let v = value
-                .parse()
-                .unwrap_or_else(|_| panic!("{file}: {field} {value:?} is not a number"));
-            out.push((k, v));
-        }
-    }
-    assert!(!out.is_empty(), "{file} has no {field}");
-    out
 }
 
 /// Prints the spread of a gate's `ratios` beside its `bound` and
@@ -121,7 +99,7 @@ fn assert_all(results: Vec<Result<(), String>>) {
 #[ignore]
 fn nn_fast_kernels_keep_their_train_step_speedup() {
     assert_release();
-    let results = committed("BENCH_nn.json", "dim", "step_speedup")
+    let results = NN_STEP_SPEEDUPS
         .into_iter()
         .map(|(dim, speedup)| {
             let pairs = StepBench::new(dim).pairs(PAIRS);
@@ -131,22 +109,14 @@ fn nn_fast_kernels_keep_their_train_step_speedup() {
     assert_all(results);
 }
 
-/// The gated marker counts; 10⁶ is too slow to build for a gate.
-const GATED_MARKERS: [usize; 2] = [10_000, 100_000];
-
 #[test]
 #[ignore]
 fn sharded_index_keeps_its_query_speedup_over_exact() {
     assert_release();
-    let committed = committed("BENCH_space.json", "markers", "query_speedup_vs_exact");
     let pool = WorkerPool::new(resolve_threads(None));
-    let results = GATED_MARKERS
-        .iter()
-        .map(|&n| {
-            let (_, speedup) = committed
-                .iter()
-                .find(|&&(m, _)| m == n)
-                .unwrap_or_else(|| panic!("BENCH_space.json has no {n}-marker scale"));
+    let results = SPACE_QUERY_SPEEDUPS
+        .into_iter()
+        .map(|(n, speedup)| {
             let mut bench = SpaceBench::new(n, Some(&pool));
             let pairs: Vec<Pair> = (0..PAIRS).map(|_| bench.query_pair().pair()).collect();
             at_least(
@@ -162,7 +132,7 @@ fn sharded_index_keeps_its_query_speedup_over_exact() {
 #[test]
 fn sharded_index_recall_at_10_holds_the_floor() {
     let pool = WorkerPool::new(resolve_threads(None));
-    for n in GATED_MARKERS {
+    for (n, _) in SPACE_QUERY_SPEEDUPS {
         let recall = SpaceBench::new(n, Some(&pool)).recall_at_10();
         println!("space {n} markers: recall@10 {recall:.4}, floor 0.95");
         assert!(recall >= 0.95, "{n} markers: recall@10 {recall:.4} < 0.95");

@@ -65,20 +65,9 @@ impl TypeEnv {
         self.annotations.insert(symbol, ty);
     }
 
-    /// Removes a symbol's annotation (an `ϵ` starting state).
-    pub fn clear_symbol(&mut self, symbol: SymbolId) {
-        self.annotations.remove(&symbol);
-    }
-
     /// The declared type of a symbol, if any.
     pub fn type_of(&self, symbol: SymbolId) -> Option<&PyType> {
         self.annotations.get(&symbol)
-    }
-
-    /// The declared type of the symbol occurring at `span`, if any.
-    pub fn type_at(&self, table: &SymbolTable, span: typilus_pyast::Span) -> Option<&PyType> {
-        let sym = table.symbol_at(span)?;
-        self.annotations.get(&sym.id)
     }
 }
 

@@ -3,6 +3,19 @@
 
 use std::collections::HashMap;
 
+/// What one subcommand accepts: options that take a value and flags
+/// that take none, each list space-separated and each name without its
+/// leading `--`.
+#[derive(Debug, Clone, Copy)]
+pub struct Accepts {
+    /// The subcommand's name, for error messages.
+    pub command: &'static str,
+    /// Options that consume the next token as their value.
+    pub options: &'static str,
+    /// Boolean flags.
+    pub flags: &'static str,
+}
+
 /// Parsed command-line arguments.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
@@ -24,27 +37,35 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl Args {
-    /// Parses raw arguments. `known_flags` lists options that take no
-    /// value; every other `--name` consumes the next token as its value.
+    /// Parses raw arguments against what the command `accepts`: a
+    /// listed flag takes no value, a listed option consumes the next
+    /// token, and every other token is a positional.
     ///
     /// # Errors
     ///
-    /// Fails when a value-taking option has no following token.
+    /// Fails on a `--name` the command does not accept, and when a
+    /// value-taking option has no following token.
     pub fn parse(
         raw: impl IntoIterator<Item = String>,
-        known_flags: &[&str],
+        accepts: &Accepts,
     ) -> Result<Args, ArgError> {
         let mut out = Args::default();
-        let mut iter = raw.into_iter().peekable();
+        let mut iter = raw.into_iter();
         while let Some(tok) = iter.next() {
             if let Some(name) = tok.strip_prefix("--") {
-                if known_flags.contains(&name) {
+                let listed = |names: &str| names.split_whitespace().any(|n| n == name);
+                if listed(accepts.flags) {
                     out.flags.push(name.to_string());
-                } else {
+                } else if listed(accepts.options) {
                     let value = iter
                         .next()
                         .ok_or_else(|| ArgError(format!("--{name} requires a value")))?;
                     out.options.insert(name.to_string(), value);
+                } else {
+                    return Err(ArgError(format!(
+                        "unknown option --{name} for `typilus {}`",
+                        accepts.command
+                    )));
                 }
             } else {
                 out.positionals.push(tok);
@@ -97,18 +118,22 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn parse(tokens: &[&str], flags: &[&str]) -> Args {
-        Args::parse(tokens.iter().map(|s| s.to_string()), flags).unwrap()
+    const PREDICT: Accepts = Accepts {
+        command: "predict",
+        options: "model top epochs",
+        flags: "check",
+    };
+
+    fn parse(tokens: &[&str]) -> Result<Args, ArgError> {
+        Args::parse(tokens.iter().map(|s| s.to_string()), &PREDICT)
     }
 
     #[test]
     fn mixed_arguments() {
-        let a = parse(
-            &[
-                "predict", "--model", "m.bin", "--top", "3", "--check", "file.py",
-            ],
-            &["check"],
-        );
+        let a = parse(&[
+            "predict", "--model", "m.bin", "--top", "3", "--check", "file.py",
+        ])
+        .unwrap();
         assert_eq!(a.positionals(), &["predict", "file.py"]);
         assert_eq!(a.get("model"), Some("m.bin"));
         assert_eq!(a.get_parsed("top", 1usize).unwrap(), 3);
@@ -118,20 +143,19 @@ mod tests {
 
     #[test]
     fn defaults_and_requirements() {
-        let a = parse(&["train"], &[]);
+        let a = parse(&["predict"]).unwrap();
         assert_eq!(a.get_parsed("epochs", 12usize).unwrap(), 12);
-        assert!(a.require("corpus").is_err());
+        assert!(a.require("model").is_err());
     }
 
     #[test]
     fn missing_value_is_an_error() {
-        let r = Args::parse(["--model".to_string()], &[]);
-        assert!(r.is_err());
+        assert!(parse(&["--model"]).is_err());
     }
 
     #[test]
     fn bad_parse_is_an_error() {
-        let a = parse(&["--epochs", "many"], &[]);
+        let a = parse(&["--epochs", "many"]).unwrap();
         assert!(a.get_parsed("epochs", 1usize).is_err());
     }
 }

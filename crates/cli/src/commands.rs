@@ -1,19 +1,101 @@
 //! CLI subcommand implementations.
 
-use crate::args::{ArgError, Args};
+use crate::args::{Accepts, ArgError, Args};
 use std::error::Error;
 use std::path::Path;
 use typilus::{
     evaluate_files, open_space_index, space_sidecar_path, table2_row, train_with_options,
     Aggregation, CheckerProfile, EncoderKind, GraphConfig, KnnConfig, LossKind, ModelConfig,
-    NodeInit, Parallelism, PreparedCorpus, RpForestConfig, SpaceConfig, TrainError, TrainOptions,
-    TrainedSystem, TypilusConfig,
+    NodeInit, Parallelism, PreparedCorpus, RpForestConfig, SkipReason, SpaceConfig, TrainError,
+    TrainOptions, TrainedSystem, TypilusConfig,
 };
 use typilus_check::TypeChecker;
 use typilus_corpus::{generate, CorpusConfig};
 use typilus_serve::{Client, ClientOptions, Endpoint, Response, ServeOptions, Server};
 
 type CmdResult = Result<(), Box<dyn Error>>;
+
+/// One subcommand: the options and flags it accepts, and its body.
+pub struct Command {
+    /// What the subcommand accepts; anything else is a usage error.
+    pub accepts: Accepts,
+    /// Runs the subcommand on its parsed arguments.
+    pub run: fn(&Args) -> CmdResult,
+}
+
+/// Every subcommand, with exactly the options [`usage`] lists for it.
+const COMMANDS: &[Command] = &[
+    Command {
+        accepts: Accepts {
+            command: "gen-corpus",
+            options: "out files seed error-rate",
+            flags: "",
+        },
+        run: gen_corpus,
+    },
+    Command {
+        accepts: Accepts {
+            command: "train",
+            options: "corpus model encoder loss epochs dim gnn-steps lr seed threads knn-k knn-p \
+                      checkpoint-dir kill-after-epoch",
+            flags: "profile resume",
+        },
+        run: train_cmd,
+    },
+    Command {
+        accepts: Accepts {
+            command: "predict",
+            options: "model top min-confidence out",
+            flags: "check",
+        },
+        run: predict_cmd,
+    },
+    Command {
+        accepts: Accepts {
+            command: "eval",
+            options: "model corpus common threads",
+            flags: "",
+        },
+        run: eval_cmd,
+    },
+    Command {
+        accepts: Accepts {
+            command: "audit",
+            options: "model corpus min-confidence",
+            flags: "",
+        },
+        run: audit_cmd,
+    },
+    Command {
+        accepts: Accepts {
+            command: "index",
+            options: "model shards trees leaf-size search-k rebuild-threshold seed threads",
+            flags: "info verify",
+        },
+        run: index_cmd,
+    },
+    Command {
+        accepts: Accepts {
+            command: "serve",
+            options: "model addr socket batch-max batch-bytes-max queue-max timeout-ms threads",
+            flags: "",
+        },
+        run: serve_cmd,
+    },
+    Command {
+        accepts: Accepts {
+            command: "query",
+            options: "addr socket top min-confidence out timeout-ms add-symbol add-type",
+            flags: "retry stats reindex drain shutdown",
+        },
+        run: query_cmd,
+    },
+];
+
+/// The subcommand called `name`.
+pub fn find(name: &str) -> Option<&'static Command> {
+    COMMANDS.iter().find(|c| c.accepts.command == name)
+}
 
 /// Prints usage and exits the dispatcher cleanly.
 pub fn usage() {
@@ -27,8 +109,6 @@ USAGE:
                      [--loss class|space|typilus] [--epochs N] [--dim D]
                      [--gnn-steps T] [--lr F] [--seed S] [--threads N]
                      [--knn-k K] [--knn-p P] [--profile]
-                     [--index exact|sharded] [--shards N] [--trees N]
-                     [--leaf-size N] [--search-k N] [--rebuild-threshold N]
                      [--checkpoint-dir DIR] [--resume] [--kill-after-epoch N]
   typilus predict    --model FILE [--top K] [--min-confidence F] [--check]
                      [--out FILE] PY_FILE...
@@ -47,7 +127,8 @@ USAGE:
   typilus query      ... (--stats | --reindex | --drain | --shutdown)
 
 Corpora are directories of .py files. Models are .typilus artefacts
-written by `train` (see typilus::TrainedSystem::save).
+written by `train` (see typilus::TrainedSystem::save). A command
+rejects any option it does not list above (exit code 2).
 
 Training, corpus preparation and evaluation fan per-file work across a
 persistent worker pool; results are bit-identical for every thread
@@ -60,21 +141,21 @@ a configuration error.
 nearest markers, distance exponent p); k must be positive and p
 non-negative.
 
---index picks the TypeSpace nearest-neighbour index built after
-training: exact (default, brute force) or sharded (the approximate
-index: --shards groups of random-projection trees built in parallel,
-persisted as an mmap-able `MODEL.space` sidecar that loads in
-O(header) and serves zero-copy; --shards 1 is a single forest).
---shards/--trees/--leaf-size/--search-k/--rebuild-threshold tune it.
+`train` leaves the TypeSpace on exact (brute-force) kNN search.
+`typilus index` builds the approximate index of a trained model:
+--shards groups of random-projection trees built in parallel, persisted
+as an mmap-able `MODEL.space` sidecar that loads in O(header) and
+serves zero-copy (--shards 1 is a single forest).
+--shards/--trees/--leaf-size/--search-k/--rebuild-threshold/--seed tune
+it. The sidecar's header records them: each option left out defaults
+to the attached sidecar's value (to the model's defaults on a first
+build), and every automatic or served rebuild reuses them. --info
+prints the header, --verify additionally sweeps the checksums. The
+sidecar bytes are identical at any --threads value.
 
-`typilus index` (re)builds the sharded index of an existing model and
-rewrites the sidecar; --info prints the sidecar's header, --verify
-additionally sweeps its checksums. The sidecar bytes are identical at
-any --threads value.
-
-`train --profile` prints arena allocation counters after training; when
-the binary is built with `--features nn-profile` it also prints a per-op
-kernel time/volume table.
+`train --profile` switches on the per-op profiler and prints arena
+allocation counters and a per-op kernel time/volume table after
+training.
 
 Crash safety: with --checkpoint-dir, train writes an atomic,
 checksummed checkpoint after every epoch; --resume restarts from the
@@ -96,28 +177,38 @@ reports the health (ok/degraded/draining) and recovery counters.
 --batch-bytes-max caps the source bytes drained into one engine pass.
 `typilus query` is the matching client: predict files, bind one
 open-vocabulary marker (--add-symbol/--add-type), or ask for --stats,
---reindex (in-memory index rebuild), --drain (stop accepting new
+--reindex (in-memory index rebuild from the sidecar's recorded
+options), --drain (stop accepting new
 connections), --shutdown. --retry turns on resilient transport:
 connect/read/write timeouts, reconnect with bounded exponential
 backoff and deterministic jitter, retries for idempotent requests
 only (never --add-symbol). --timeout-ms bounds the whole query.
 
-Unparseable or empty .py files never abort a run: they are quarantined,
-counted and named on stderr, and the rest of the corpus proceeds."
+Unparseable, empty or non-UTF-8 .py files never abort a run: they are
+quarantined, counted and named on stderr, and the rest of the corpus
+proceeds."
     );
 }
 
-/// Reads all `.py` files under `dir` (one level or nested).
-fn read_corpus_dir(dir: &str) -> Result<Vec<(String, String)>, Box<dyn Error>> {
+/// A corpus file's name, and its source or why it has none.
+type CorpusFile = (String, Result<String, SkipReason>);
+
+/// Reads all `.py` files under `dir` (one level or nested), sorted by
+/// name. A file that is not valid UTF-8 comes back as its quarantine
+/// reason instead of its source.
+fn read_corpus_dir(dir: &str) -> Result<Vec<CorpusFile>, Box<dyn Error>> {
     let mut out = Vec::new();
-    fn walk(dir: &Path, out: &mut Vec<(String, String)>) -> std::io::Result<()> {
+    fn walk(dir: &Path, out: &mut Vec<CorpusFile>) -> std::io::Result<()> {
         for entry in std::fs::read_dir(dir)? {
             let entry = entry?;
             let path = entry.path();
             if path.is_dir() {
                 walk(&path, out)?;
             } else if path.extension().is_some_and(|e| e == "py") {
-                let source = std::fs::read_to_string(&path)?;
+                let source =
+                    String::from_utf8(std::fs::read(&path)?).map_err(|e| SkipReason::NotUtf8 {
+                        valid_up_to: e.utf8_error().valid_up_to(),
+                    });
                 out.push((path.display().to_string(), source));
             }
         }
@@ -127,7 +218,7 @@ fn read_corpus_dir(dir: &str) -> Result<Vec<(String, String)>, Box<dyn Error>> {
     if out.is_empty() {
         return Err(format!("no .py files found under {dir}").into());
     }
-    out.sort();
+    out.sort_by(|a, b| a.0.cmp(&b.0));
     Ok(out)
 }
 
@@ -139,9 +230,14 @@ fn load_prepared(
     let files = read_corpus_dir(dir)?;
     let named: Vec<(&str, &str)> = files
         .iter()
-        .map(|(n, s)| (n.as_str(), s.as_str()))
+        .filter_map(|(n, s)| Some((n.as_str(), s.as_ref().ok()?.as_str())))
         .collect();
-    let data = PreparedCorpus::from_sources(&named, graph, seed);
+    let mut data = PreparedCorpus::from_sources(&named, graph, seed);
+    for (name, source) in files {
+        if let Err(reason) = source {
+            data.quarantine.skipped.insert(name, reason);
+        }
+    }
     eprintln!(
         "loaded {} files from {dir} ({} train / {} valid / {} test)",
         data.files.len(),
@@ -219,14 +315,6 @@ pub fn train_cmd(args: &Args) -> CmdResult {
         p: args.get_parsed("knn-p", KnnConfig::default().p)?,
     };
     knn.validate()?;
-    let space = space_config_from(args, SpaceConfig::default())?;
-    let approximate_index = match args.get("index").unwrap_or("exact") {
-        "exact" => false,
-        "sharded" => true,
-        other => {
-            return Err(ArgError(format!("--index: unknown mode {other:?} (exact|sharded)")).into())
-        }
-    };
     let graph = GraphConfig::default();
     let data = load_prepared(corpus_dir, &graph, seed)?;
     let config = TypilusConfig {
@@ -242,12 +330,12 @@ pub fn train_cmd(args: &Args) -> CmdResult {
         },
         graph,
         epochs: args.get_parsed("epochs", 15usize)?,
-        batch_size: args.get_parsed("batch-size", 8usize)?,
+        batch_size: 8,
         lr: args.get_parsed("lr", 0.015f32)?,
         knn,
-        approximate_index,
-        space,
-        common_threshold: args.get_parsed("common", 15usize)?,
+        approximate_index: false,
+        space: SpaceConfig::default(),
+        common_threshold: 15,
         seed,
         parallelism,
     };
@@ -255,6 +343,7 @@ pub fn train_cmd(args: &Args) -> CmdResult {
     if profile {
         typilus_nn::reset_profile();
         typilus_nn::reset_arena_stats();
+        typilus_nn::set_profiling(true);
     }
     let opts = TrainOptions {
         checkpoint_dir: args.get("checkpoint-dir").map(Into::into),
@@ -282,6 +371,7 @@ pub fn train_cmd(args: &Args) -> CmdResult {
         );
     }
     if profile {
+        typilus_nn::set_profiling(false);
         let stats = typilus_nn::arena_stats();
         eprintln!(
             "arena: {} fresh allocations, {} reused buffers, {} recycled ({:.1}% reuse)",
@@ -290,10 +380,7 @@ pub fn train_cmd(args: &Args) -> CmdResult {
             stats.recycled,
             100.0 * stats.reused as f64 / (stats.fresh + stats.reused).max(1) as f64
         );
-        match typilus_nn::profile_report() {
-            Some(table) => eprintln!("{table}"),
-            None => eprintln!("per-op profile unavailable: rebuild with `--features nn-profile`"),
-        }
+        eprintln!("{}", typilus_nn::profile_report());
     }
     system.save(&model_path)?;
     println!(
@@ -305,8 +392,7 @@ pub fn train_cmd(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// The sharded-index knobs shared by `train` and `index`, defaulted
-/// from `base`.
+/// The sharded-index knobs of `typilus index`, defaulted from `base`.
 fn space_config_from(args: &Args, base: SpaceConfig) -> Result<SpaceConfig, ArgError> {
     Ok(SpaceConfig {
         shards: args.get_parsed("shards", base.shards)?,
@@ -353,17 +439,24 @@ pub fn index_cmd(args: &Args) -> CmdResult {
         return Ok(());
     }
     let mut system = TrainedSystem::load(model_path)?;
-    let config = space_config_from(args, system.config.space)?;
-    let seed = args.get_parsed("seed", system.config.seed)?;
+    // Options left out default to the attached sidecar's header, the
+    // same rule every rebuild follows; a model with no index attached
+    // takes its first build from its config.
+    let (base, base_seed) = system
+        .type_map
+        .index_params()
+        .unwrap_or((system.config.space, system.config.seed));
+    let config = space_config_from(args, base)?;
+    let seed = args.get_parsed("seed", base_seed)?;
     if args.get("threads").is_some() {
         system.config.parallelism = Parallelism::fixed(args.get_parsed("threads", 0usize)?);
         system.config.parallelism.try_resolve()?;
     }
-    // Record the knobs so automatic overlay rebuilds and future
-    // `typilus index` runs default to them. The artifact stays
-    // byte-identical at any --threads value: the thread policy
-    // serializes as auto-detect, and the sharded build itself is
-    // thread-count independent.
+    // The model's config records that its index is sharded and the
+    // knobs of this build; rebuilds read them from the sidecar header.
+    // The artifact stays byte-identical at any --threads value: the
+    // thread policy serializes as auto-detect, and the sharded build
+    // itself is thread-count independent.
     system.config.space = config;
     system.config.approximate_index = true;
     let threads = system.config.parallelism.resolve();

@@ -15,13 +15,23 @@ use args::Args;
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match Args::parse(
-        raw,
-        &[
-            "check", "drain", "help", "info", "profile", "reindex", "resume", "retry", "shutdown",
-            "stats", "verify",
-        ],
-    ) {
+    let name = match raw.first().map(String::as_str) {
+        Some("help" | "--help") => {
+            commands::usage();
+            return;
+        }
+        Some(name) => name,
+        None => {
+            commands::usage();
+            std::process::exit(2);
+        }
+    };
+    let Some(command) = commands::find(name) else {
+        eprintln!("error: unknown command {name:?}");
+        commands::usage();
+        std::process::exit(2);
+    };
+    let parsed = match Args::parse(raw.iter().cloned(), &command.accepts) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -29,30 +39,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let Some(command) = parsed.positionals().first().map(String::as_str) else {
-        commands::usage();
-        std::process::exit(2);
-    };
-    let result = match command {
-        "gen-corpus" => commands::gen_corpus(&parsed),
-        "train" => commands::train_cmd(&parsed),
-        "predict" => commands::predict_cmd(&parsed),
-        "eval" => commands::eval_cmd(&parsed),
-        "audit" => commands::audit_cmd(&parsed),
-        "index" => commands::index_cmd(&parsed),
-        "serve" => commands::serve_cmd(&parsed),
-        "query" => commands::query_cmd(&parsed),
-        "help" | "--help" => {
-            commands::usage();
-            return;
-        }
-        other => {
-            eprintln!("error: unknown command {other:?}");
-            commands::usage();
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = result {
+    if let Err(e) = (command.run)(&parsed) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

@@ -31,6 +31,13 @@ pub enum SkipReason {
     /// The file parsed but produced an empty program graph (nothing to
     /// train or predict on).
     EmptyGraph,
+    /// The file's bytes are not UTF-8 (say, a Latin-1 source), so it
+    /// was never parsed.
+    NotUtf8 {
+        /// Length of the file's longest valid UTF-8 prefix: the byte
+        /// offset of the first invalid sequence.
+        valid_up_to: usize,
+    },
 }
 
 impl fmt::Display for SkipReason {
@@ -38,6 +45,12 @@ impl fmt::Display for SkipReason {
         match self {
             SkipReason::ParseError(e) => write!(f, "parse error: {e}"),
             SkipReason::EmptyGraph => write!(f, "empty program graph"),
+            SkipReason::NotUtf8 { valid_up_to } => {
+                write!(
+                    f,
+                    "not valid UTF-8 (first bad byte at offset {valid_up_to})"
+                )
+            }
         }
     }
 }
@@ -79,14 +92,23 @@ impl Quarantine {
             .count()
     }
 
-    /// One-line summary, e.g. `"2 files quarantined (1 parse error, 1
-    /// empty graph)"`.
+    /// Number of files skipped for not being UTF-8.
+    pub fn not_utf8(&self) -> usize {
+        self.skipped
+            .values()
+            .filter(|r| matches!(r, SkipReason::NotUtf8 { .. }))
+            .count()
+    }
+
+    /// One-line summary, e.g. `"3 files quarantined (1 parse errors, 1
+    /// empty graphs, 1 not UTF-8)"`.
     pub fn summary(&self) -> String {
         format!(
-            "{} files quarantined ({} parse errors, {} empty graphs)",
+            "{} files quarantined ({} parse errors, {} empty graphs, {} not UTF-8)",
             self.len(),
             self.parse_errors(),
-            self.empty_graphs()
+            self.empty_graphs(),
+            self.not_utf8()
         )
     }
 }
@@ -281,7 +303,7 @@ mod tests {
         assert_eq!(prepared.quarantine.empty_graphs(), 1);
         assert_eq!(
             prepared.quarantine.summary(),
-            "2 files quarantined (1 parse errors, 1 empty graphs)"
+            "2 files quarantined (1 parse errors, 1 empty graphs, 0 not UTF-8)"
         );
     }
 

@@ -358,7 +358,7 @@ mod tests {
         bytes[tag..tag + 4].copy_from_slice(&1u32.to_le_bytes());
         let err = TrainedSystem::from_bytes(&bytes).unwrap_err();
         assert!(matches!(err, PersistError::Codec(_)), "{err}");
-        assert!(err.to_string().contains("--index exact|sharded"), "{err}");
+        assert!(err.to_string().contains("`typilus index`"), "{err}");
     }
 
     #[test]

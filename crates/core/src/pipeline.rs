@@ -95,14 +95,17 @@ pub struct TypilusConfig {
     pub lr: f32,
     /// kNN prediction parameters (Eq. 5).
     pub knn: KnnConfig,
-    /// Whether to build the approximate (Annoy-like) index over the
-    /// type map; small maps use exact search.
+    /// Whether [`train`] ends by building the approximate (Annoy-like)
+    /// sharded index over the type map from `space` and `seed`, at any
+    /// map size. The CLI trains with it off and builds the index with
+    /// `typilus index`, which records it here as on.
     pub approximate_index: bool,
     /// Approximate TypeSpace index parameters (shard count, per-tree
-    /// forest knobs, overlay rebuild threshold). The index is always
-    /// the sharded [`typilus_space::SpaceIndex`], persisted as an
-    /// mmap-able sidecar; `shards` only sets how many tree groups are
-    /// built in parallel.
+    /// forest knobs, overlay rebuild threshold) of the index's first
+    /// build. The index is always the sharded
+    /// [`typilus_space::SpaceIndex`], persisted as an mmap-able sidecar
+    /// whose header records the config and seed it was built from;
+    /// every rebuild of an attached index reads them from there.
     pub space: SpaceConfig,
     /// Types seen at least this many times in training count as
     /// *common* in the evaluation breakdown (paper: 100 at full scale).
@@ -494,7 +497,7 @@ pub fn train_with_options(
             }
         }
     }
-    if config.approximate_index && type_map.len() > 64 {
+    if config.approximate_index {
         // Sharded build on the training pool: byte-identical at any
         // thread count, and the index persists as an mmap-able sidecar
         // on save. A failed build leaves the map on exact search.
@@ -664,24 +667,12 @@ impl TrainedSystem {
         Ok(self.type_map.len())
     }
 
-    /// One-shot open-vocabulary adaptation; `true` on success. Thin
-    /// boolean wrapper over [`TrainedSystem::add_marker`] for callers
-    /// that do not care why a binding failed.
-    pub fn bind_type_example(&mut self, source: &str, symbol_name: &str, ty: PyType) -> bool {
-        self.add_marker(source, symbol_name, ty).is_ok()
-    }
-
     /// Number of training annotations of a type (0 if unseen).
     pub fn train_count(&self, ty: &PyType) -> usize {
         self.train_type_counts
             .get(&ty.to_string())
             .copied()
             .unwrap_or(0)
-    }
-
-    /// Whether a type counts as *common* under the configured threshold.
-    pub fn is_common(&self, ty: &PyType) -> bool {
-        self.train_count(ty) >= self.config.common_threshold
     }
 
     /// Access to the evaluation source file.

@@ -42,12 +42,13 @@ pub use arena::{arena_stats, recycle_shared, reset_arena_stats, ArenaStats};
 pub use layers::{Embedding, GruCell, Linear};
 pub use log::{reset_warnings, warn_once, warning_count, warning_counts};
 pub use mode::{kernel_mode, set_kernel_mode, KernelMode};
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use par::{parse_thread_spec, resolve_threads, try_resolve_threads, ThreadConfigError};
 pub use params::{Gradients, ParamId, ParamSet};
 pub use pool::{PoolCell, WorkerPool};
 pub use profile::{
-    profile_rows, profiling_enabled, report as profile_report, reset_profile, OpProfile,
+    profile_rows, profiling_enabled, report as profile_report, reset_profile, set_profiling,
+    OpProfile,
 };
 pub use segment::SegmentPlan;
 pub use simd::{available_widths, set_simd_width, simd_width, SimdWidth};

@@ -1,5 +1,4 @@
-//! Optimizers: Adam (the paper's stack uses Adam-family training) and
-//! plain SGD for tests and ablations.
+//! The optimizer: Adam (the paper's stack uses Adam-family training).
 
 use crate::params::{Gradients, ParamId, ParamSet};
 use crate::pool::WorkerPool;
@@ -143,30 +142,6 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// Creates SGD with the given rate.
-    pub fn new(lr: f32) -> Sgd {
-        Sgd { lr }
-    }
-
-    /// Applies one update step.
-    pub fn step(&self, params: &mut ParamSet, grads: &Gradients) {
-        for (id, g) in grads.iter() {
-            let p = params.get_mut(id);
-            for i in 0..g.len() {
-                p.as_mut_slice()[i] -= self.lr * g.as_slice()[i];
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,7 +155,8 @@ mod tests {
             let grads = {
                 let mut tape = Tape::new(&params);
                 let w = tape.param(id);
-                let c = tape.add_scalar(w, -3.0);
+                let three = tape.input(Tensor::scalar(3.0));
+                let c = tape.sub(w, three);
                 let sq = tape.mul(c, c);
                 let loss = tape.sum_all(sq);
                 tape.backward(loss)
@@ -196,13 +172,6 @@ mod tests {
         let w = quadratic_descent(|p, g| adam.step(p, g));
         assert!((w - 3.0).abs() < 0.05, "w = {w}");
         assert_eq!(adam.steps(), 500);
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let sgd = Sgd::new(0.05);
-        let w = quadratic_descent(|p, g| sgd.step(p, &g));
-        assert!((w - 3.0).abs() < 0.05, "w = {w}");
     }
 
     #[test]

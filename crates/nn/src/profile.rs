@@ -1,13 +1,16 @@
-//! A lightweight per-op profiler (`nn-profile` feature).
+//! A lightweight per-op profiler, compiled in always and switched on
+//! at run time with [`set_profiling`] (`typilus train --profile`).
 //!
-//! When the crate is built with `--features nn-profile`, every hot tape
-//! operation records its op kind, wall-clock nanoseconds and output
-//! bytes into a global table of relaxed atomics; [`report`] renders the
-//! table sorted by time. Without the feature every hook compiles to
-//! nothing and [`report`] returns `None`, so call sites need no `cfg`.
+//! While profiling is on, every hot tape operation records its op kind,
+//! wall-clock nanoseconds and output bytes into a global table of
+//! relaxed atomics; [`report`] renders the table sorted by time. While
+//! it is off, a hook costs one relaxed load and reads no clock.
 //!
 //! The arena's allocation counters (always on) complement this table;
 //! `typilus train --profile` prints both.
+
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::time::Instant;
 
 /// Coarse operation categories tracked by the profiler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,45 +83,53 @@ impl OpKind {
     }
 }
 
-#[cfg(feature = "nn-profile")]
-mod imp {
-    use super::{OpKind, NUM_OP_KINDS};
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+/// Whether the hooks record; off unless [`set_profiling`] turns it on.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
-    #[allow(clippy::declare_interior_mutable_const)]
-    const ZERO: AtomicU64 = AtomicU64::new(0);
-    pub(super) static COUNTS: [AtomicU64; NUM_OP_KINDS] = [ZERO; NUM_OP_KINDS];
-    pub(super) static NANOS: [AtomicU64; NUM_OP_KINDS] = [ZERO; NUM_OP_KINDS];
-    pub(super) static BYTES: [AtomicU64; NUM_OP_KINDS] = [ZERO; NUM_OP_KINDS];
+#[allow(clippy::declare_interior_mutable_const)]
+const ZERO: AtomicU64 = AtomicU64::new(0);
+static COUNTS: [AtomicU64; NUM_OP_KINDS] = [ZERO; NUM_OP_KINDS];
+static NANOS: [AtomicU64; NUM_OP_KINDS] = [ZERO; NUM_OP_KINDS];
+static BYTES: [AtomicU64; NUM_OP_KINDS] = [ZERO; NUM_OP_KINDS];
 
-    /// Records one completed operation.
-    #[inline]
-    pub fn record(kind: OpKind, nanos: u64, bytes: u64) {
-        let i = kind as usize;
-        COUNTS[i].fetch_add(1, Relaxed);
-        NANOS[i].fetch_add(nanos, Relaxed);
-        BYTES[i].fetch_add(bytes, Relaxed);
+/// Switches per-op profiling on or off for the whole process.
+pub fn set_profiling(on: bool) {
+    ENABLED.store(on, Relaxed);
+}
+
+/// Whether per-op profiling is switched on.
+pub fn profiling_enabled() -> bool {
+    ENABLED.load(Relaxed)
+}
+
+/// Zeroes every profiler counter.
+pub fn reset_profile() {
+    for i in 0..NUM_OP_KINDS {
+        COUNTS[i].store(0, Relaxed);
+        NANOS[i].store(0, Relaxed);
+        BYTES[i].store(0, Relaxed);
     }
 }
 
-#[cfg(feature = "nn-profile")]
-pub use imp::record;
-
-/// Whether per-op profiling is compiled in.
-pub fn profiling_enabled() -> bool {
-    cfg!(feature = "nn-profile")
+/// The start of a timed operation: a clock reading while profiling is
+/// on, `None` (and no clock read) while it is off.
+#[inline]
+pub(crate) fn start() -> Option<Instant> {
+    if ENABLED.load(Relaxed) {
+        Some(Instant::now())
+    } else {
+        None
+    }
 }
 
-/// Zeroes every profiler counter (no-op without the feature).
-pub fn reset_profile() {
-    #[cfg(feature = "nn-profile")]
-    {
-        use std::sync::atomic::Ordering::Relaxed;
-        for i in 0..NUM_OP_KINDS {
-            imp::COUNTS[i].store(0, Relaxed);
-            imp::NANOS[i].store(0, Relaxed);
-            imp::BYTES[i].store(0, Relaxed);
-        }
+/// Records one completed operation begun at `start`, if it was timed.
+#[inline]
+pub(crate) fn finish(start: Option<Instant>, kind: OpKind, bytes: u64) {
+    if let Some(start) = start {
+        let i = kind as usize;
+        COUNTS[i].fetch_add(1, Relaxed);
+        NANOS[i].fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
+        BYTES[i].fetch_add(bytes, Relaxed);
     }
 }
 
@@ -135,40 +146,30 @@ pub struct OpProfile {
     pub bytes: u64,
 }
 
-/// Per-op counters sorted by total time, or `None` without the feature.
-pub fn profile_rows() -> Option<Vec<OpProfile>> {
-    #[cfg(feature = "nn-profile")]
-    {
-        use std::sync::atomic::Ordering::Relaxed;
-        let mut rows: Vec<OpProfile> = OpKind::all()
-            .into_iter()
-            .map(|kind| OpProfile {
-                kind,
-                calls: imp::COUNTS[kind as usize].load(Relaxed),
-                nanos: imp::NANOS[kind as usize].load(Relaxed),
-                bytes: imp::BYTES[kind as usize].load(Relaxed),
-            })
-            .filter(|r| r.calls > 0)
-            .collect();
-        rows.sort_by_key(|r| std::cmp::Reverse(r.nanos));
-        Some(rows)
-    }
-    #[cfg(not(feature = "nn-profile"))]
-    {
-        let _ = OpKind::all();
-        None
-    }
+/// The op kinds with at least one recorded call, sorted by total time.
+pub fn profile_rows() -> Vec<OpProfile> {
+    let mut rows: Vec<OpProfile> = OpKind::all()
+        .into_iter()
+        .map(|kind| OpProfile {
+            kind,
+            calls: COUNTS[kind as usize].load(Relaxed),
+            nanos: NANOS[kind as usize].load(Relaxed),
+            bytes: BYTES[kind as usize].load(Relaxed),
+        })
+        .filter(|r| r.calls > 0)
+        .collect();
+    rows.sort_by_key(|r| std::cmp::Reverse(r.nanos));
+    rows
 }
 
-/// Renders the per-op table, or `None` without the feature.
-pub fn report() -> Option<String> {
-    let rows = profile_rows()?;
+/// Renders the per-op table.
+pub fn report() -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<12} {:>10} {:>12} {:>12} {:>10}\n",
         "op", "calls", "total ms", "MB out", "ns/call"
     ));
-    for r in &rows {
+    for r in profile_rows() {
         out.push_str(&format!(
             "{:<12} {:>10} {:>12.3} {:>12.2} {:>10}\n",
             r.kind.name(),
@@ -178,53 +179,32 @@ pub fn report() -> Option<String> {
             r.nanos / r.calls.max(1),
         ));
     }
-    Some(out)
+    out
 }
 
-/// Times `$body` and attributes it to `$kind` when profiling is
-/// compiled in; otherwise expands to `$body` alone. `$bytes` should be
-/// the output size in bytes.
+/// Times `$body` and attributes it to `$kind` while profiling is on.
+/// `$bytes` should be the output size in bytes.
 macro_rules! prof {
     ($kind:expr, $bytes:expr, $body:expr) => {{
-        #[cfg(feature = "nn-profile")]
-        {
-            let __start = std::time::Instant::now();
-            let __result = $body;
-            $crate::profile::record($kind, __start.elapsed().as_nanos() as u64, $bytes as u64);
-            __result
-        }
-        #[cfg(not(feature = "nn-profile"))]
-        {
-            $body
-        }
+        let __start = $crate::profile::start();
+        let __result = $body;
+        $crate::profile::finish(__start, $kind, $bytes as u64);
+        __result
     }};
 }
 
 pub(crate) use prof;
 
 /// Runs one forward-op body, recording its wall-clock time and output
-/// size when the `nn-profile` feature is enabled; a plain call
-/// otherwise. Lives here (not in `tape`) so all wall-clock reads stay
-/// inside profiling code.
+/// size while profiling is on. Lives here (not in `tape`) so all
+/// wall-clock reads stay inside profiling code.
 #[inline]
 pub(crate) fn run_op(
     kind: OpKind,
     f: impl FnOnce() -> crate::tensor::Tensor,
 ) -> crate::tensor::Tensor {
-    #[cfg(feature = "nn-profile")]
-    {
-        let start = std::time::Instant::now();
-        let out = f();
-        record(
-            kind,
-            start.elapsed().as_nanos() as u64,
-            (out.len() * 4) as u64,
-        );
-        out
-    }
-    #[cfg(not(feature = "nn-profile"))]
-    {
-        let _ = kind;
-        f()
-    }
+    let start = start();
+    let out = f();
+    finish(start, kind, (out.len() * 4) as u64);
+    out
 }

@@ -62,7 +62,6 @@ enum Op {
     Sub(Var, Var),
     Mul(Var, Var),
     Scale(Var, f32),
-    AddScalar(Var, f32),
     Sigmoid(Var),
     Exp(Var),
     Tanh(Var),
@@ -363,13 +362,6 @@ impl<'p> Tape<'p> {
         let va = self.value(a);
         let v = run_op(OpKind::Elementwise, || pooled_map(va, |x| x * c));
         self.push(v, || Op::Scale(a, c))
-    }
-
-    /// `a + c` elementwise for a scalar constant `c`.
-    pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let va = self.value(a);
-        let v = run_op(OpKind::Elementwise, || pooled_map(va, |x| x + c));
-        self.push(v, || Op::AddScalar(a, c))
     }
 
     // ---- nonlinearities ----------------------------------------------------
@@ -910,7 +902,6 @@ impl<'p> Tape<'p> {
                         arena::recycle(g);
                         accumulate(&mut grads, *a, ga);
                     }
-                    Op::AddScalar(a, _) => accumulate(&mut grads, *a, g),
                     Op::Sigmoid(a) => {
                         let y = &node.value;
                         let mut ga = g;

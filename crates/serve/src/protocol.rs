@@ -131,7 +131,8 @@ pub enum Request {
         ty: String,
     },
     /// Rebuild the sharded TypeSpace index over all current markers
-    /// (folding any overlay in), in memory only.
+    /// (folding any overlay in), in memory only, from the attached
+    /// index's recorded config and seed.
     Reindex,
     /// Server and type-map statistics.
     Stats,

@@ -497,11 +497,14 @@ fn dispatch_batch(
                     let pool = system
                         .pool
                         .get_or_create(|| system.config.parallelism.resolve());
-                    match system.type_map.build_sharded_index(
-                        &system.config.space,
-                        system.config.seed,
-                        Some(pool),
-                    ) {
+                    // An attached index rebuilds from its own header;
+                    // only a map without one takes its first build
+                    // from the model config.
+                    let first_build = (system.config.space, system.config.seed);
+                    match system
+                        .type_map
+                        .rebuild_sharded_index(Some(first_build), Some(pool))
+                    {
                         Ok(()) => Response::Reindexed {
                             markers: system.type_map.len(),
                             index: system.type_map.index_kind().to_string(),

@@ -16,8 +16,8 @@
 //! sharded state supports *incremental* insertion: markers added after
 //! the build live in a deterministic overlay that is scanned exactly
 //! and merged with the view's hits, and once the overlay reaches the
-//! configured threshold the index is rebuilt in place from the same
-//! config and seed.
+//! configured threshold the index is rebuilt in place from the config
+//! and seed its own header records.
 //! When a map with a sharded index is serialized, only the index's
 //! identity (`file_id`) travels inside the model artifact; the payload
 //! itself is persisted as a sidecar file and re-attached on load
@@ -132,7 +132,7 @@ enum IndexWire {
 
 /// What loading an artifact with a retired in-memory forest reports.
 const RETIRED_FOREST_MESSAGE: &str = "this model stores the retired in-memory RP-forest \
-     index; retrain it with --index exact|sharded";
+     index; retrain it, then build its index with `typilus index`";
 
 impl Serialize for Index {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
@@ -199,8 +199,8 @@ impl TypeMap {
     /// attached: the marker joins a deterministic overlay that is
     /// scanned exactly and merged into every query, and once the
     /// overlay reaches the index's `rebuild_threshold` (a threshold of
-    /// 0 means every insertion) the index is rebuilt in place from its
-    /// recorded config and seed. A *detached* map accepts markers too:
+    /// 0 means every insertion) the index is rebuilt in place through
+    /// [`TypeMap::rebuild_sharded_index`]. A *detached* map accepts markers too:
     /// they are served through the exact fallback immediately and
     /// count toward the overlay once the sidecar re-attaches
     /// ([`TypeMap::attach_space_index`] merges and rebuilds at the
@@ -216,16 +216,10 @@ impl TypeMap {
     pub fn add(&mut self, embedding: Vec<f32>, ty: PyType) -> Result<(), SpaceError> {
         self.embeddings.try_push(&embedding)?;
         self.types.push(ty);
-        let rebuild = match &self.index {
-            Index::Sharded(ix)
-                if self.embeddings.len() - ix.len() >= ix.rebuild_threshold().max(1) =>
-            {
-                Some((ix.config(), ix.seed()))
-            }
-            _ => None,
-        };
-        if let Some((config, seed)) = rebuild {
-            if let Err(e) = self.build_sharded_index(&config, seed, None) {
+        let rebuild = matches!(&self.index, Index::Sharded(ix)
+            if self.embeddings.len() - ix.len() >= ix.rebuild_threshold().max(1));
+        if rebuild {
+            if let Err(e) = self.rebuild_sharded_index(None, None) {
                 // Rebuild failure (e.g. the map outgrew the 32-bit id
                 // space) must not lose markers or correctness: degrade
                 // to exact search. Warn-once so a busy server hitting
@@ -319,6 +313,36 @@ impl TypeMap {
         Ok(())
     }
 
+    /// The `(config, seed)` the attached sharded index was built from,
+    /// as its header records them. The header is the only source of an
+    /// attached index's build parameters.
+    pub fn index_params(&self) -> Option<(SpaceConfig, u64)> {
+        self.space_index().map(|ix| (ix.config(), ix.seed()))
+    }
+
+    /// Rebuilds the sharded index over every marker: the one rebuild
+    /// path, shared by the overlay-threshold rebuild in [`TypeMap::add`],
+    /// the attach-time merge and the serve daemon's `reindex`. An
+    /// attached index is rebuilt from [`TypeMap::index_params`], so a
+    /// rebuild with no new marker reproduces it byte for byte. Only a
+    /// map with no index attached takes `first`, the `(config, seed)`
+    /// of its first build; with neither, the map keeps its search.
+    ///
+    /// # Errors
+    ///
+    /// [`SpaceError::TooLarge`] when a count exceeds the 32-bit
+    /// on-disk id space; the map keeps its previous index.
+    pub fn rebuild_sharded_index(
+        &mut self,
+        first: Option<(SpaceConfig, u64)>,
+        pool: Option<&WorkerPool>,
+    ) -> Result<(), SpaceError> {
+        match self.index_params().or(first) {
+            Some((config, seed)) => self.build_sharded_index(&config, seed, pool),
+            None => Ok(()),
+        }
+    }
+
     /// The sharded index payload to persist as a sidecar file, if a
     /// sharded index is attached.
     pub fn space_payload(&self) -> Option<&[u8]> {
@@ -394,14 +418,10 @@ impl TypeMap {
             });
         }
         let overlay = self.embeddings.len() - index.len();
-        let merge = if overlay >= index.rebuild_threshold().max(1) {
-            Some((index.config(), index.seed()))
-        } else {
-            None
-        };
+        let merge = overlay >= index.rebuild_threshold().max(1);
         self.index = Index::Sharded(index);
-        if let Some((config, seed)) = merge {
-            if let Err(e) = self.build_sharded_index(&config, seed, None) {
+        if merge {
+            if let Err(e) = self.rebuild_sharded_index(None, None) {
                 typilus_nn::warn_once(
                     "space.rebuild",
                     &format!(
@@ -704,6 +724,39 @@ mod tests {
         assert_eq!(rebuilt.len(), 104);
         assert_ne!(rebuilt.file_id(), before);
         assert_eq!(rebuilt.config(), config, "rebuild keeps the config");
+    }
+
+    #[test]
+    fn rebuild_reads_the_attached_header_not_the_first_build_params() {
+        let mut m = filled_map(200);
+        let built = SpaceConfig {
+            shards: 2,
+            forest: RpForestConfig {
+                trees: 4,
+                leaf_size: 8,
+                search_k: 16,
+            },
+            rebuild_threshold: 64,
+        };
+        m.build_sharded_index(&built, 5, None).unwrap();
+        let before = m.space_index().unwrap().clone();
+        assert_eq!(m.index_params(), Some((built, 5)));
+        // `first` is ignored while an index is attached: with no new
+        // marker the rebuild reproduces the index byte for byte.
+        m.rebuild_sharded_index(Some((SpaceConfig::default(), 7)), None)
+            .unwrap();
+        let after = m.space_index().unwrap();
+        assert_eq!(after.file_id(), before.file_id());
+        assert_eq!(after.payload(), before.payload());
+        // A map with no index attached takes `first`, or keeps exact
+        // search without it.
+        let mut plain = filled_map(200);
+        plain.rebuild_sharded_index(None, None).unwrap();
+        assert_eq!(plain.index_kind(), "exact");
+        plain
+            .rebuild_sharded_index(Some((SpaceConfig::default(), 7)), None)
+            .unwrap();
+        assert_eq!(plain.index_params(), Some((SpaceConfig::default(), 7)));
     }
 
     #[test]

@@ -62,7 +62,9 @@ def shutdown(drive_core):
     return drive_core
 ";
     println!("\nbinding one example of {novel} from a different function...");
-    let bound = system.bind_type_example(example, "drive_core", novel.clone());
+    let bound = system
+        .add_marker(example, "drive_core", novel.clone())
+        .is_ok();
     assert!(bound, "binding must succeed");
     println!("type map now holds {} markers", system.type_map.len());
 

@@ -10,8 +10,8 @@
 # one). Further legs force the SIMD tile width (TYPILUS_SIMD), the
 # naive reference kernels (TYPILUS_NN_NAIVE) and a kill-and-resume run
 # at a forced width: artifacts must be byte-identical across kernel
-# mode x SIMD width x thread count x resume path. A one-shard
-# `--index sharded --shards 1` training leg must write the same model,
+# mode x SIMD width x thread count x resume path. A one-shard leg
+# (`train`, then `typilus index --shards 1`) must write the same model,
 # sidecar and predictions at 1 and 4 threads. Run from anywhere;
 # operates on the repo root. Expects `cargo build --release` to have
 # run (tier1.sh orders it that way) but builds on demand otherwise.
@@ -130,15 +130,17 @@ for t in 1 4; do
             --model "$WORK/ix$t/model.typilus" --top 3 >"$WORK/ix$t/predict.out"
 done
 
-# One-shard leg: `train --index sharded --shards 1`, the single-forest
-# layout of the approximate index, trained at 1 vs 4 threads. The
-# sidecar must really hold one shard and pass its checksum sweep, and
-# model, sidecar and predictions must be byte-identical.
+# One-shard leg: `train`, then `typilus index --shards 1`, the
+# single-forest layout of the approximate index, both at 1 vs 4
+# threads. The sidecar must really hold one shard and pass its checksum
+# sweep, and model, sidecar and predictions must be byte-identical.
 for t in 1 4; do
     mkdir -p "$WORK/one$t"
     TYPILUS_THREADS=$t "$TYPILUS" train --corpus "$WORK/corpus" \
-        --model "$WORK/one$t/model.typilus" --index sharded --shards 1 \
+        --model "$WORK/one$t/model.typilus" \
         --epochs 2 --dim 16 --gnn-steps 2 --seed 7 >"$WORK/one$t/train.out"
+    TYPILUS_THREADS=$t "$TYPILUS" index --model "$WORK/one$t/model.typilus" \
+        --shards 1 >>"$WORK/one$t/train.out"
     TYPILUS_THREADS=$t "$TYPILUS" index --model "$WORK/one$t/model.typilus" \
         --verify >"$WORK/one$t/index.out"
     if ! grep -q ' 1 shards,' "$WORK/one$t/index.out"; then

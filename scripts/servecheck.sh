@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Serve round-trip gate: trains a tiny sharded-index model, serves it
-# over a Unix socket, and asserts
+# Serve round-trip gate: trains a tiny model, builds its sharded index
+# with `typilus index --shards 2`, serves it over a Unix socket, and
+# asserts
 #
 #   1. the served predict report is byte-identical to one-shot
 #      `typilus predict` output over the same files (the serve
@@ -36,8 +37,8 @@ trap cleanup EXIT
 echo "servecheck: training a tiny model ..."
 "$BIN" gen-corpus --out "$WORK/corpus" --files 24 --seed 7 >/dev/null
 "$BIN" train --corpus "$WORK/corpus" --model "$WORK/model.typilus" \
-    --epochs 3 --dim 16 --gnn-steps 3 \
-    --index sharded --shards 2 >/dev/null 2>&1
+    --epochs 3 --dim 16 --gnn-steps 3 >/dev/null 2>&1
+"$BIN" index --model "$WORK/model.typilus" --shards 2 >/dev/null
 
 mapfile -t FILES < <(find "$WORK/corpus" -name '*.py' | sort | head -3)
 [ "${#FILES[@]}" -ge 1 ] || { echo "servecheck: no corpus files" >&2; exit 1; }

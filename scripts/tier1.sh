@@ -12,8 +12,8 @@
 # (byte-identical served replies, untouched artifacts), the reproduction
 # gate (all eleven paper outputs at a small scale byte-identical to
 # results/small/), the release-mode speed gates (crates/bench/tests/
-# speed_gates.rs: each fast path's median speedup against the committed
-# BENCH_nn.json / BENCH_space.json figures, serve throughput scaling
+# speed_gates.rs: each fast path's median speedup against the speedup
+# recorded in the test when its gate was set, serve throughput scaling
 # and supervision overhead), clippy with warnings denied. It also fails
 # if crossbeam re-enters the dependency graph: `typilus_nn::WorkerPool`
 # is the one parallel engine. Run from anywhere; operates on the repo

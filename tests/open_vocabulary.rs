@@ -55,7 +55,9 @@ fn one_shot_adaptation_to_unseen_type() {
     // Bind ONE example (different code, same naming/usage pattern).
     let binding_src =
         "def drain(flux_capacitor):\n    flux_capacitor.engage()\n    return flux_capacitor\n";
-    assert!(system.bind_type_example(binding_src, "flux_capacitor", novel.clone()));
+    assert!(system
+        .add_marker(binding_src, "flux_capacitor", novel.clone())
+        .is_ok());
 
     // After binding: the nearest-neighbour prediction includes it.
     let after = system.predict_source(query_src).unwrap();

@@ -6,8 +6,8 @@
 use std::sync::{Mutex, OnceLock};
 use std::thread;
 use typilus::{
-    train, EncoderKind, GraphConfig, LossKind, ModelConfig, PreparedCorpus, TrainedSystem,
-    TypilusConfig,
+    train, EncoderKind, GraphConfig, LossKind, ModelConfig, PreparedCorpus, RpForestConfig,
+    SpaceConfig, TrainedSystem, TypilusConfig,
 };
 use typilus_corpus::{generate, CorpusConfig};
 use typilus_serve::{
@@ -54,7 +54,14 @@ fn fresh_system() -> TrainedSystem {
 fn start_server(
     options: ServeOptions,
 ) -> (Endpoint, thread::JoinHandle<(ServeSummary, TrainedSystem)>) {
-    let mut system = fresh_system();
+    start_server_with(fresh_system(), options)
+}
+
+/// [`start_server`] over a given system.
+fn start_server_with(
+    mut system: TrainedSystem,
+    options: ServeOptions,
+) -> (Endpoint, thread::JoinHandle<(ServeSummary, TrainedSystem)>) {
     let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".to_string()), options).unwrap();
     let endpoint = server.endpoint().clone();
     let handle = thread::spawn(move || {
@@ -326,6 +333,62 @@ fn reindex_and_stats_report_the_map_state() {
         other => panic!("expected stats, got {other:?}"),
     }
     shutdown_and_join(&endpoint, handle);
+}
+
+#[test]
+fn reindex_keeps_an_index_built_with_its_own_seed() {
+    // Built like `typilus index --seed 5 --shards 2 --trees 4
+    // --search-k 16` on a model trained at seed 0: the header, not
+    // `config.space`/`config.seed`, holds the build parameters.
+    let mut system = fresh_system();
+    assert_ne!(system.config.seed, 5);
+    let built = SpaceConfig {
+        shards: 2,
+        forest: RpForestConfig {
+            trees: 4,
+            leaf_size: RpForestConfig::default().leaf_size,
+            search_k: 16,
+        },
+        ..SpaceConfig::default()
+    };
+    system
+        .type_map
+        .build_sharded_index(&built, 5, None)
+        .unwrap();
+    let file_id = system.type_map.space_index().unwrap().file_id();
+    let sources = [
+        QUERY_SRC,
+        "def scale(values, factor):\n    return [v * factor for v in values]\n",
+        "def greet(name):\n    message = 'hi ' + name\n    return message\n",
+    ];
+    let expected: Vec<Vec<SymbolHints>> = sources
+        .iter()
+        .map(|s| {
+            let predictions = system.predict_source(s).unwrap();
+            predictions.iter().map(SymbolHints::of).collect()
+        })
+        .collect();
+    let (endpoint, handle) = start_server_with(system, ServeOptions::default());
+    let mut client = Client::connect(&endpoint).unwrap();
+    let served = |client: &mut Client| -> Vec<Vec<SymbolHints>> {
+        sources
+            .iter()
+            .map(|s| match client.predict(s).unwrap() {
+                Response::Predictions(got) => got,
+                other => panic!("expected predictions, got {other:?}"),
+            })
+            .collect()
+    };
+    assert_eq!(served(&mut client), expected);
+    assert!(matches!(
+        client.reindex().unwrap(),
+        Response::Reindexed { .. }
+    ));
+    assert_eq!(served(&mut client), expected, "reindex changed replies");
+    let (_, system) = shutdown_and_join(&endpoint, handle);
+    let index = system.type_map.space_index().unwrap();
+    assert_eq!(index.file_id(), file_id, "reindex changed the index");
+    assert_eq!(system.type_map.index_params(), Some((built, 5)));
 }
 
 #[test]
