@@ -8,21 +8,8 @@
 //! (files, fns, edges, reachable sets). Sources are read once up
 //! front so the measured reps time the analysis, not the filesystem.
 
-use std::time::Instant;
+use typilus_bench::speed::{median_secs, write_report};
 use typilus_lint::lint_files;
-
-/// Runs `f` `reps` times and returns the median wall-clock seconds.
-fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
-}
 
 fn main() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -62,9 +49,5 @@ fn main() {
         st.suppressions,
         loc as f64 / 1000.0 / secs.max(1e-12),
     );
-    let out = typilus_bench::bench_out("BENCH_lint.json");
-    // lint: allow(D7) — advisory benchmark report, regenerated by rerunning; never read back by the pipeline
-    std::fs::write(&out, &json).expect("write benchmark json");
-    print!("{json}");
-    eprintln!("wrote {out}");
+    write_report("BENCH_lint.json", &json);
 }

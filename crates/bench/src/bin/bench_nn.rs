@@ -20,18 +20,8 @@
 //! (`sse2` baseline or the widened `avx2` tile). The per-op profiler
 //! stays off, so its clock reads never enter these timings.
 
-use std::time::Instant;
-use typilus_bench::speed::{median, StepBench};
+use typilus_bench::speed::{median, median_secs, write_report, StepBench};
 use typilus_nn::{set_kernel_mode, KernelMode, Tensor};
-
-/// Runs `f` `reps` times and returns the median wall-clock seconds.
-fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    median((0..reps).map(|_| {
-        let t0 = Instant::now();
-        f();
-        t0.elapsed().as_secs_f64()
-    }))
-}
 
 /// Deterministic pseudo-random matrix (xorshift; no rand dependency
 /// needed for a timing fixture).
@@ -160,9 +150,5 @@ fn main() {
         k.transpose_naive,
         k.transpose_naive / k.transpose_fast.max(1e-12),
     );
-    let out = typilus_bench::bench_out("BENCH_nn.json");
-    // lint: allow(D7) — advisory benchmark report, regenerated by rerunning; never read back by the pipeline
-    std::fs::write(&out, &json).expect("write benchmark json");
-    print!("{json}");
-    eprintln!("wrote {out}");
+    write_report("BENCH_nn.json", &json);
 }

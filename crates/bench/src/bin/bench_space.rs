@@ -18,7 +18,7 @@
 //! Writes `BENCH_space.json` (or `TYPILUS_BENCH_OUT`) and prints it to
 //! stdout.
 
-use typilus_bench::speed::{scale_report, space_config, ScaleReport, SPACE_DIM};
+use typilus_bench::speed::{scale_report, space_config, write_report, ScaleReport, SPACE_DIM};
 
 fn main() {
     let bench_dir =
@@ -73,9 +73,5 @@ fn main() {
          \"scales\": [\n{rows}\n  ]\n}}\n",
         config.shards, config.forest.trees, config.forest.leaf_size
     );
-    let out = typilus_bench::bench_out("BENCH_space.json");
-    // lint: allow(D7) — advisory benchmark report, regenerated by rerunning; never read back by the pipeline
-    std::fs::write(&out, &json).expect("write report");
-    eprintln!("wrote {out}");
-    print!("{json}");
+    write_report("BENCH_space.json", &json);
 }

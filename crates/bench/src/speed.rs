@@ -1,7 +1,8 @@
 //! The speed measurements behind the `bench_nn` and `bench_space`
-//! reports and the gates in `tests/speed_gates.rs`. Each measurement
-//! exists once, here, so a committed report and the gate that reads it
-//! always time the same thing.
+//! reports and the gates in `tests/speed_gates.rs`, and the one report
+//! writer of every `bench_*` binary. Each measurement exists once,
+//! here, so a committed report and the gate that reads it always time
+//! the same thing.
 //!
 //! A speedup is a ratio of two arms timed back to back ([`Pair`]), and
 //! a report or gate takes the [`median`] over several pairs: host drift
@@ -60,6 +61,22 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t = Instant::now();
     let value = f();
     (value, t.elapsed().as_secs_f64())
+}
+
+/// Runs `f` `reps` times and returns the median wall-clock seconds.
+pub fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+    median((0..reps).map(|_| timed(&mut f).1))
+}
+
+/// Writes a `BENCH_*.json` report to `default` (or the path in
+/// `TYPILUS_BENCH_OUT`), echoes it on stdout and names the written
+/// file on stderr.
+pub fn write_report(default: &str, json: &str) {
+    let out = crate::bench_out(default);
+    // lint: allow(D7) — advisory benchmark report, regenerated by rerunning; never read back by the pipeline
+    std::fs::write(&out, json).expect("write benchmark json");
+    print!("{json}");
+    eprintln!("wrote {out}");
 }
 
 /// One GGNN training step (forward + backward + Adam) at a given hidden

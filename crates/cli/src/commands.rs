@@ -6,8 +6,8 @@ use std::path::Path;
 use typilus::{
     evaluate_files, open_space_index, space_sidecar_path, table2_row, train_with_options,
     Aggregation, CheckerProfile, EncoderKind, GraphConfig, KnnConfig, LossKind, ModelConfig,
-    NodeInit, Parallelism, PreparedCorpus, RpForestConfig, SkipReason, SpaceConfig, TrainError,
-    TrainOptions, TrainedSystem, TypilusConfig,
+    NodeInit, Parallelism, PreparedCorpus, RpForestConfig, SkipReason, SpaceConfig, TrainOptions,
+    TrainedSystem, TypilusConfig,
 };
 use typilus_check::TypeChecker;
 use typilus_corpus::{generate, CorpusConfig};
@@ -37,7 +37,7 @@ const COMMANDS: &[Command] = &[
         accepts: Accepts {
             command: "train",
             options: "corpus model encoder loss epochs dim gnn-steps lr seed threads knn-k knn-p \
-                      checkpoint-dir kill-after-epoch",
+                      checkpoint-dir",
             flags: "profile resume",
         },
         run: train_cmd,
@@ -109,7 +109,7 @@ USAGE:
                      [--loss class|space|typilus] [--epochs N] [--dim D]
                      [--gnn-steps T] [--lr F] [--seed S] [--threads N]
                      [--knn-k K] [--knn-p P] [--profile]
-                     [--checkpoint-dir DIR] [--resume] [--kill-after-epoch N]
+                     [--checkpoint-dir DIR] [--resume]
   typilus predict    --model FILE [--top K] [--min-confidence F] [--check]
                      [--out FILE] PY_FILE...
   typilus eval       --model FILE --corpus DIR [--common N] [--threads N]
@@ -161,8 +161,6 @@ Crash safety: with --checkpoint-dir, train writes an atomic,
 checksummed checkpoint after every epoch; --resume restarts from the
 newest valid checkpoint (corrupt ones are reported and skipped) and
 produces byte-identical artifacts to an uninterrupted run.
---kill-after-epoch N aborts right after checkpointing epoch N (exit
-code 3) — the fault-injection hook used by scripts/detcheck.sh.
 
 `typilus serve` keeps a loaded model resident and answers requests over
 a length-prefixed binary protocol: the sidecar mmap, worker pool and
@@ -186,12 +184,35 @@ only (never --add-symbol). --timeout-ms bounds the whole query.
 
 Unparseable, empty or non-UTF-8 .py files never abort a run: they are
 quarantined, counted and named on stderr, and the rest of the corpus
-proceeds."
+proceeds. `predict` and `query` likewise skip a non-UTF-8 PY_FILE with
+a warning that names it and report on the rest."
     );
 }
 
 /// A corpus file's name, and its source or why it has none.
 type CorpusFile = (String, Result<String, SkipReason>);
+
+/// Reads a Python source: its text, or [`SkipReason::NotUtf8`] when
+/// its bytes are not UTF-8.
+fn read_source(path: &Path) -> std::io::Result<Result<String, SkipReason>> {
+    Ok(
+        String::from_utf8(std::fs::read(path)?).map_err(|e| SkipReason::NotUtf8 {
+            valid_up_to: e.utf8_error().valid_up_to(),
+        }),
+    )
+}
+
+/// Reads one PY_FILE of `predict` or `query`. A file that is not UTF-8
+/// is skipped (`None`) with the warning corpus loading gives for it.
+fn read_py_file(file: &str) -> Result<Option<String>, Box<dyn Error>> {
+    match read_source(Path::new(file)).map_err(|e| format!("{file}: {e}"))? {
+        Ok(source) => Ok(Some(source)),
+        Err(reason) => {
+            eprintln!("warning: skipped {file}: {reason}");
+            Ok(None)
+        }
+    }
+}
 
 /// Reads all `.py` files under `dir` (one level or nested), sorted by
 /// name. A file that is not valid UTF-8 comes back as its quarantine
@@ -205,10 +226,7 @@ fn read_corpus_dir(dir: &str) -> Result<Vec<CorpusFile>, Box<dyn Error>> {
             if path.is_dir() {
                 walk(&path, out)?;
             } else if path.extension().is_some_and(|e| e == "py") {
-                let source =
-                    String::from_utf8(std::fs::read(&path)?).map_err(|e| SkipReason::NotUtf8 {
-                        valid_up_to: e.utf8_error().valid_up_to(),
-                    });
+                let source = read_source(&path)?;
                 out.push((path.display().to_string(), source));
             }
         }
@@ -348,22 +366,9 @@ pub fn train_cmd(args: &Args) -> CmdResult {
     let opts = TrainOptions {
         checkpoint_dir: args.get("checkpoint-dir").map(Into::into),
         resume: args.has_flag("resume"),
-        kill_after_epoch: match args.get("kill-after-epoch") {
-            Some(_) => Some(args.get_parsed("kill-after-epoch", 0usize)?),
-            None => None,
-        },
+        ..TrainOptions::default()
     };
-    let system = match train_with_options(&data, &config, &opts) {
-        Ok(system) => system,
-        Err(TrainError::Killed { epoch }) => {
-            // The checkpoint for `epoch` is already on disk; a
-            // distinctive exit code lets harnesses assert the kill
-            // actually happened before they resume.
-            eprintln!("train: killed after epoch {epoch} (checkpoint written)");
-            std::process::exit(3);
-        }
-        Err(e) => return Err(e.into()),
-    };
+    let system = train_with_options(&data, &config, &opts)?;
     for e in &system.epochs {
         eprintln!(
             "epoch {:>3}: loss {:.4} ({:.1}s)",
@@ -549,11 +554,18 @@ pub fn predict_cmd(args: &Args) -> CmdResult {
     let checker = TypeChecker::new(CheckerProfile::Mypy);
     let mut report = String::new();
     for file in files {
-        let source = std::fs::read_to_string(file)?;
+        let Some(source) = read_py_file(file)? else {
+            continue;
+        };
         let predictions = system.predict_source(&source)?;
-        // For the optional checker filter we need the parsed module.
-        let parsed = typilus_pyast::parse(&source)?;
-        let table = typilus_pyast::SymbolTable::build(&parsed.module);
+        // Only the checker filter needs the parsed module.
+        let checked = if run_checker {
+            let parsed = typilus_pyast::parse(&source)?;
+            let table = typilus_pyast::SymbolTable::build(&parsed.module);
+            Some((parsed, table))
+        } else {
+            None
+        };
         let symbols: Vec<RenderSymbol> = predictions
             .iter()
             .map(|p| RenderSymbol {
@@ -568,20 +580,21 @@ pub fn predict_cmd(args: &Args) -> CmdResult {
                         probability: c.probability,
                         // Only candidates within --top are shown, so
                         // only those pay for a checker pass.
-                        verdict: if i < top && run_checker && !c.ty.is_top() {
-                            let issues = checker.check_with_override(
-                                &parsed,
-                                &table,
-                                p.symbol,
-                                c.ty.clone(),
-                            );
-                            if issues.is_empty() {
-                                " [ok]"
-                            } else {
-                                " [type error]"
+                        verdict: match &checked {
+                            Some((parsed, table)) if i < top && !c.ty.is_top() => {
+                                let issues = checker.check_with_override(
+                                    parsed,
+                                    table,
+                                    p.symbol,
+                                    c.ty.clone(),
+                                );
+                                if issues.is_empty() {
+                                    " [ok]"
+                                } else {
+                                    " [type error]"
+                                }
                             }
-                        } else {
-                            ""
+                            _ => "",
                         },
                     })
                     .collect(),
@@ -748,7 +761,10 @@ pub fn query_cmd(args: &Args) -> CmdResult {
             .positionals()
             .get(1)
             .ok_or("--add-symbol needs one PY_FILE with the binding snippet")?;
-        let source = std::fs::read_to_string(file)?;
+        // The one file is the whole request: a bad one is an error.
+        let source = read_source(Path::new(file))
+            .map_err(|e| format!("{file}: {e}"))?
+            .map_err(|reason| format!("{file}: {reason}"))?;
         return match client.add_marker(&source, symbol, ty)? {
             Response::MarkerAdded { markers } => {
                 println!("bound {symbol}: {ty} ({markers} markers, in memory only)");
@@ -769,7 +785,9 @@ pub fn query_cmd(args: &Args) -> CmdResult {
     }
     let mut report = String::new();
     for file in files {
-        let source = std::fs::read_to_string(file)?;
+        let Some(source) = read_py_file(file)? else {
+            continue;
+        };
         match client.predict(&source)? {
             Response::Predictions(symbols) => {
                 let rows: Vec<RenderSymbol> = symbols

@@ -56,8 +56,6 @@ pub struct FileClass {
 /// modules export.
 pub const ENV_MODULES: &[&str] = &[
     "crates/nn/src/par.rs",    // TYPILUS_THREADS (parse-once)
-    "crates/nn/src/mode.rs",   // TYPILUS_NN_NAIVE (resolve-once)
-    "crates/nn/src/config.rs", // arena trace toggles (read-once)
     "crates/bench/src/lib.rs", // bench scale/output knobs
 ];
 

@@ -52,9 +52,10 @@
 //! workspace `.rs` file, prints `file:line: rule: message` diagnostics
 //! (or a full `--json` report with stale suppressions and call-graph
 //! stats), and exits non-zero on any unsuppressed finding — it runs as
-//! a tier-1 gate next to `scripts/detcheck.sh` and
-//! `scripts/servecheck.sh`, the dynamic witnesses of the same
-//! contracts.
+//! a tier-1 gate next to the determinism matrix test
+//! (`tests/determinism.rs`) and the CLI serve round trip
+//! (`crates/cli/tests/cli_pipeline.rs`), the dynamic witnesses of the
+//! same contracts.
 
 #![warn(missing_docs)]
 

@@ -157,7 +157,7 @@ fn threads() -> usize {
     std::env::var("THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
 }
 "#;
-    let d = lint_source("crates/nn/src/config.rs", src).unwrap();
+    let d = lint_source("crates/nn/src/par.rs", src).unwrap();
     assert!(d.is_empty(), "{d:?}");
 }
 

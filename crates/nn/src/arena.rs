@@ -176,17 +176,6 @@ pub(crate) fn take(len: usize) -> Vec<f32> {
         }
         None => {
             FRESH.fetch_add(1, Relaxed);
-            if crate::config::arena_trace() {
-                eprintln!(
-                    "arena: FRESH len={} class={} on {:?}",
-                    len,
-                    class_for_request(len),
-                    std::thread::current().name().unwrap_or("?")
-                );
-                if crate::config::arena_trace_backtrace() {
-                    eprintln!("{}", std::backtrace::Backtrace::force_capture());
-                }
-            }
             // Round fresh capacity up to a power of two so the buffer's
             // recycle class equals its request class: a buffer with the
             // exact capacity 777_777 would land in floor-class 19 on

@@ -23,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod config;
 pub mod layers;
 pub mod log;
 pub mod mode;

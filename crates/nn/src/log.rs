@@ -3,7 +3,7 @@
 //! Long-lived processes (the serve daemon foremost) can hit the same
 //! degraded-but-survivable condition thousands of times — a missing
 //! index sidecar, a failed overlay rebuild. Raw `eprintln!`s would
-//! flood stderr and make `detcheck.sh`-style output comparisons
+//! flood stderr and make byte comparisons of captured CLI output
 //! unstable, so every such warning goes through [`warn_once`]: the
 //! first occurrence of a *key* prints one structured line, repeats are
 //! counted silently.

@@ -19,43 +19,25 @@ pub enum KernelMode {
     Naive,
 }
 
-// 0 = unresolved, 1 = fast, 2 = naive.
+// 0 = fast, 1 = naive.
 static MODE: AtomicU8 = AtomicU8::new(0);
 
-/// The active kernel mode.
-///
-/// Resolved once from the `TYPILUS_NN_NAIVE` environment variable (any
-/// non-empty value other than `0` selects [`KernelMode::Naive`]) unless
-/// [`set_kernel_mode`] was called first.
+/// The active kernel mode: [`KernelMode::Fast`] unless
+/// [`set_kernel_mode`] selected another.
 #[inline]
 pub fn kernel_mode() -> KernelMode {
     match MODE.load(Ordering::Relaxed) {
-        1 => KernelMode::Fast,
-        2 => KernelMode::Naive,
-        _ => resolve_from_env(),
+        0 => KernelMode::Fast,
+        _ => KernelMode::Naive,
     }
-}
-
-#[cold]
-fn resolve_from_env() -> KernelMode {
-    let naive = std::env::var("TYPILUS_NN_NAIVE")
-        .map(|v| !v.trim().is_empty() && v.trim() != "0")
-        .unwrap_or(false);
-    let mode = if naive {
-        KernelMode::Naive
-    } else {
-        KernelMode::Fast
-    };
-    set_kernel_mode(mode);
-    mode
 }
 
 /// Overrides the kernel mode process-wide (used by benchmarks and the
 /// equivalence tests; regular training never calls this).
 pub fn set_kernel_mode(mode: KernelMode) {
     let v = match mode {
-        KernelMode::Fast => 1,
-        KernelMode::Naive => 2,
+        KernelMode::Fast => 0,
+        KernelMode::Naive => 1,
     };
     MODE.store(v, Ordering::Relaxed);
 }
@@ -66,8 +48,8 @@ mod tests {
 
     #[test]
     fn default_mode_is_fast_and_override_sticks() {
-        // The suite never sets TYPILUS_NN_NAIVE, so resolution lands on
-        // Fast; an explicit override must win afterwards.
+        // Nothing in this binary selects Naive, so the mode starts and
+        // stays Fast; an explicit override must win afterwards.
         assert_eq!(kernel_mode(), KernelMode::Fast);
         set_kernel_mode(KernelMode::Fast);
         assert_eq!(kernel_mode(), KernelMode::Fast);

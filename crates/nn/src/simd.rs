@@ -7,8 +7,8 @@
 //! (`4×16`) inside a `#[target_feature(enable = "avx2")]` function, so
 //! LLVM maps each accumulator row to `ymm` registers.
 //!
-//! The width is selected once per process — from the CPU, or from the
-//! `TYPILUS_SIMD` override parsed in [`crate::config`] — and applies to
+//! The width is selected once per process from the CPU (tests and
+//! benchmarks may force one with [`set_simd_width`]) and applies to
 //! every kernel in every mode ("all modes or none"). Widening the tile
 //! is bit-safe by construction: the tile shape only changes *which*
 //! output elements are computed together, never the order of any one
@@ -70,8 +70,7 @@ pub fn available_widths() -> Vec<SimdWidth> {
 /// The active kernel tile width.
 ///
 /// Resolved once: an explicit [`set_simd_width`] wins; otherwise the
-/// `TYPILUS_SIMD` override (see [`crate::config::simd_override`]),
-/// clamped to what the CPU supports; otherwise CPU detection.
+/// widest tile the CPU supports.
 #[inline]
 pub fn simd_width() -> SimdWidth {
     match WIDTH.load(Ordering::Relaxed) {
@@ -83,21 +82,10 @@ pub fn simd_width() -> SimdWidth {
 
 #[cold]
 fn resolve() -> SimdWidth {
-    let width = match crate::config::simd_override() {
-        Some(SimdWidth::Avx2) if !avx2_available() => {
-            eprintln!(
-                "typilus-nn: TYPILUS_SIMD=avx2 requested but AVX2 is unavailable; using sse2"
-            );
-            SimdWidth::Sse2
-        }
-        Some(requested) => requested,
-        None => {
-            if avx2_available() {
-                SimdWidth::Avx2
-            } else {
-                SimdWidth::Sse2
-            }
-        }
+    let width = if avx2_available() {
+        SimdWidth::Avx2
+    } else {
+        SimdWidth::Sse2
     };
     set_simd_width(width);
     width

@@ -14,7 +14,8 @@
 
 use crate::protocol::{decode, encode, read_frame, write_frame, FrameError, Request, Response};
 use crate::server::Endpoint;
-use std::io::{Read, Write};
+use crate::stream::Stream;
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::thread;
@@ -170,52 +171,6 @@ fn retriable(e: &ClientError) -> bool {
             | ClientError::Frame(FrameError::Closed)
             | ClientError::Frame(FrameError::Io(_))
     )
-}
-
-enum Stream {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Stream {
-    /// Applies socket read/write timeouts; `None` blocks forever.
-    fn set_timeouts(&self, read: Option<Duration>, write: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => {
-                s.set_read_timeout(read)?;
-                s.set_write_timeout(write)
-            }
-            Stream::Unix(s) => {
-                s.set_read_timeout(read)?;
-                s.set_write_timeout(write)
-            }
-        }
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            Stream::Unix(s) => s.flush(),
-        }
-    }
 }
 
 /// A connected client. One request is in flight at a time; replies

@@ -37,6 +37,7 @@
 pub mod client;
 pub mod protocol;
 pub mod server;
+mod stream;
 
 pub use client::{Client, ClientError, ClientOptions};
 pub use protocol::{

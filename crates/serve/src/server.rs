@@ -45,8 +45,9 @@ use crate::protocol::{
     decode, encode, read_frame, write_frame, ErrorCode, FrameError, Health, Request, Response,
     ServerStats, SymbolHints,
 };
+use crate::stream::Stream;
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -184,40 +185,10 @@ enum ListenerKind {
 }
 
 impl ListenerKind {
-    fn accept(&self) -> std::io::Result<StreamKind> {
+    fn accept(&self) -> std::io::Result<Stream> {
         match self {
-            ListenerKind::Tcp(l) => l.accept().map(|(s, _)| StreamKind::Tcp(s)),
-            ListenerKind::Unix(l) => l.accept().map(|(s, _)| StreamKind::Unix(s)),
-        }
-    }
-}
-
-enum StreamKind {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Read for StreamKind {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            StreamKind::Tcp(s) => s.read(buf),
-            StreamKind::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for StreamKind {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            StreamKind::Tcp(s) => s.write(buf),
-            StreamKind::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            StreamKind::Tcp(s) => s.flush(),
-            StreamKind::Unix(s) => s.flush(),
+            ListenerKind::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            ListenerKind::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
         }
     }
 }
@@ -746,7 +717,7 @@ fn accept_loop(
 /// disconnect closes the stream.
 // lint: root(serve)
 fn handle_conn(
-    mut stream: StreamKind,
+    mut stream: Stream,
     jobs: SyncSender<Job>,
     bye_ack: SyncSender<()>,
     shutdown: Arc<AtomicBool>,
@@ -843,7 +814,7 @@ fn handle_conn(
 /// (broken pipe / connection reset: the peer left, routine) or a
 /// *server-side write fault* (anything else: worth alerting on).
 /// Returns whether the write succeeded.
-fn write_reply_counted(stream: &mut StreamKind, resp: &Response, counters: &Counters) -> bool {
+fn write_reply_counted(stream: &mut Stream, resp: &Response, counters: &Counters) -> bool {
     match write_reply(stream, resp) {
         Ok(()) => true,
         Err(FrameError::Io(e)) if is_client_gone(&e) => {
@@ -867,7 +838,7 @@ fn is_client_gone(e: &std::io::Error) -> bool {
     )
 }
 
-fn write_reply(stream: &mut StreamKind, resp: &Response) -> Result<(), FrameError> {
+fn write_reply(stream: &mut Stream, resp: &Response) -> Result<(), FrameError> {
     let bytes = encode(resp).map_err(|_| FrameError::Closed)?;
     if let Some(fault) = typilus::faults::check("serve.reply.write") {
         match fault {

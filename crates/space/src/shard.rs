@@ -9,7 +9,8 @@
 //! ordered reduction), so the resulting tree sets — and the on-disk
 //! bytes serialized from them — are identical at any thread count,
 //! including a serial build with no pool at all. The benchmark and
-//! detcheck assert this byte-identity.
+//! the determinism matrix test (`tests/determinism.rs`) assert this
+//! byte-identity.
 
 use crate::index::{PointStore, RpForestConfig, TreeBuilder, TreeNode};
 use serde::{Deserialize, Serialize};
