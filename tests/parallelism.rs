@@ -1,8 +1,7 @@
-//! The data-parallel engine must be invisible in the results: batched
-//! prediction equals per-file prediction, and an auto-detected thread
-//! count trains what a fixed one does. The thread-count legs of the
-//! determinism contract (1 vs 2, 4 and 7 workers, arena reuse
-//! included) live in the matrix in `tests/determinism.rs`.
+//! The data-parallel engine must be invisible in the results: training
+//! with 1 worker thread and with many must produce bit-identical
+//! per-epoch losses, identical τmap contents and identical predictions
+//! for the same seed.
 
 use typilus::{
     train, EncoderKind, LossKind, ModelConfig, Parallelism, PreparedCorpus, TrainedSystem,
@@ -10,7 +9,7 @@ use typilus::{
 };
 use typilus_corpus::{generate, CorpusConfig};
 
-fn run(seed: u64, threads: usize) -> (TrainedSystem, PreparedCorpus) {
+fn run(seed: u64, threads: usize, loss: LossKind) -> (TrainedSystem, PreparedCorpus) {
     let corpus = generate(&CorpusConfig {
         files: 16,
         seed,
@@ -20,7 +19,7 @@ fn run(seed: u64, threads: usize) -> (TrainedSystem, PreparedCorpus) {
     let config = TypilusConfig {
         model: ModelConfig {
             encoder: EncoderKind::Graph,
-            loss: LossKind::Typilus,
+            loss,
             dim: 12,
             gnn_steps: 2,
             min_subtoken_count: 1,
@@ -53,9 +52,73 @@ fn top1_predictions(system: &TrainedSystem, data: &PreparedCorpus) -> Vec<String
         .collect()
 }
 
+fn tau_map_markers(system: &TrainedSystem) -> Vec<(Vec<u32>, String)> {
+    system
+        .type_map
+        .iter()
+        .map(|(emb, ty)| (emb.iter().map(|x| x.to_bits()).collect(), ty.to_string()))
+        .collect()
+}
+
+#[test]
+fn thread_count_does_not_change_results() {
+    for loss in [LossKind::Typilus, LossKind::Class] {
+        let (base, base_data) = run(42, 1, loss);
+        let base_losses: Vec<u32> = base.epochs.iter().map(|e| e.mean_loss.to_bits()).collect();
+        assert!(!base_losses.is_empty());
+        for threads in [2, 4, 7] {
+            let (system, data) = run(42, threads, loss);
+            let losses: Vec<u32> = system
+                .epochs
+                .iter()
+                .map(|e| e.mean_loss.to_bits())
+                .collect();
+            assert_eq!(
+                base_losses, losses,
+                "{loss:?}: per-epoch losses must be bit-identical at {threads} threads"
+            );
+            assert_eq!(
+                tau_map_markers(&base),
+                tau_map_markers(&system),
+                "{loss:?}: type-map markers must be identical at {threads} threads"
+            );
+            assert_eq!(
+                top1_predictions(&base, &base_data),
+                top1_predictions(&system, &data),
+                "{loss:?}: top-1 predictions must be identical at {threads} threads"
+            );
+        }
+    }
+}
+
+#[test]
+fn arena_tape_preserves_parallel_bit_identity() {
+    // The arena-backed tape recycles buffers across training steps; that
+    // must stay invisible to the determinism guarantee. Guard against a
+    // silently disabled pool by requiring actual reuse during training.
+    typilus_nn::set_kernel_mode(typilus_nn::KernelMode::Fast);
+    let before = typilus_nn::arena_stats();
+    let (base, base_data) = run(11, 1, LossKind::Typilus);
+    let (multi, multi_data) = run(11, 4, LossKind::Typilus);
+    let stats = typilus_nn::arena_stats().since(&before);
+    assert!(stats.reused > 0, "arena pool saw no reuse during training");
+    assert!(stats.recycled > 0, "no buffers were returned to the arena");
+    let base_losses: Vec<u32> = base.epochs.iter().map(|e| e.mean_loss.to_bits()).collect();
+    let multi_losses: Vec<u32> = multi.epochs.iter().map(|e| e.mean_loss.to_bits()).collect();
+    assert_eq!(
+        base_losses, multi_losses,
+        "losses must be bit-identical at 1 vs 4 threads"
+    );
+    assert_eq!(tau_map_markers(&base), tau_map_markers(&multi));
+    assert_eq!(
+        top1_predictions(&base, &base_data),
+        top1_predictions(&multi, &multi_data)
+    );
+}
+
 #[test]
 fn batched_prediction_matches_per_file() {
-    let (system, data) = run(7, 3);
+    let (system, data) = run(7, 3, LossKind::Typilus);
     let batched = system.predict_files(&data, &data.split.test);
     for (&idx, batch) in data.split.test.iter().zip(&batched) {
         let single = system.predict_file(&data, idx);
@@ -74,8 +137,8 @@ fn batched_prediction_matches_per_file() {
 fn auto_detected_parallelism_matches_fixed() {
     // threads = 0 resolves via env/auto-detection; whatever it picks,
     // the results must equal the single-threaded run.
-    let (auto, auto_data) = run(9, 0);
-    let (one, one_data) = run(9, 1);
+    let (auto, auto_data) = run(9, 0, LossKind::Typilus);
+    let (one, one_data) = run(9, 1, LossKind::Typilus);
     let a: Vec<u32> = auto.epochs.iter().map(|e| e.mean_loss.to_bits()).collect();
     let b: Vec<u32> = one.epochs.iter().map(|e| e.mean_loss.to_bits()).collect();
     assert_eq!(a, b);
